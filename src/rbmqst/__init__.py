@@ -28,13 +28,13 @@ from .rbm import (
     Partition,
     RbmParams,
     amplitude_matrix,
-    d_matrix_entry,
+    contract,
+    evaluate,
     exact_density_matrix,
     init_params,
     load_checkpoint,
     log_amplitude,
     log_amplitudes,
-    log_derivatives,
     pack_parameters,
     save_checkpoint,
     unpack_parameters,
@@ -59,7 +59,6 @@ from .estimators import (
     estimate_observable,
     estimate_renyi_n,
     estimate_swap,
-    local_estimator,
     required_samples,
     vne_coefficients,
     vne_from_powers,
@@ -73,8 +72,6 @@ from .optimizer import (
     cost,
     exact_cost_and_grad,
     finite_difference_gradient,
-    grad_entropy_term,
-    grad_observable_term,
     train,
 )
 from .runner import (

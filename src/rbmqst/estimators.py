@@ -3,6 +3,8 @@
 Every estimator has two modes: `sampled` (fed by samplers.mh_sample /
 sample_replicas output) and `exact_sum` (brute-force enumeration over all
 visible configurations, used as the oracle-comparable mode at small sizes).
+Both are a WeightedBatch: the evaluated configurations with weights 1/N
+(samples) or normalized |psi|^2 (enumeration), averaged by one code path.
 
 Pauli local estimator: a Pauli string connects each configuration v to
 exactly one partner v' (flip the X/Y support on the system spins); the
@@ -23,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP, PauliString
-from .rbm import Partition, RbmParams, amplitude_matrix, log_amplitudes
+from .rbm import Batch, Partition, RbmParams, evaluate
 from .samplers import SampleSet, integrated_autocorr_time
 from .spins import all_configs
 
@@ -51,15 +53,6 @@ class SwapResult:
     clipped: bool
 
 
-def _resolve_samples(samples) -> tuple[np.ndarray, int, int]:
-    if isinstance(samples, SampleSet):
-        return samples.spins, samples.n_chains, samples.chain_len
-    arr = np.atleast_2d(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise ValidationError("empty sample set")
-    return arr, 1, arr.shape[0]
-
-
 def _series_error(series: np.ndarray, n_chains: int, chain_len: int) -> float:
     """Standard error of the series mean: the larger of the
     autocorrelation-corrected pooled estimate and the between-chain spread
@@ -74,6 +67,67 @@ def _series_error(series: np.ndarray, n_chains: int, chain_len: int) -> float:
         between = float(chains.mean(axis=1).std(ddof=1) / math.sqrt(n_chains))
         se = max(se, between)
     return se
+
+
+# ---------------------------------------------------------------------------
+# weighted batches: a sample set and an enumeration are both just a batch
+
+@dataclass(frozen=True, eq=False)
+class WeightedBatch:
+    """An evaluated configuration array and the weights of its mean: 1/N over
+    a sample set (chain-major, n_chains x chain_len, for error bars) or
+    normalized |psi|^2 over the enumeration of all configurations
+    (n_chains = 0: exact, no error bar)."""
+
+    ev: Batch
+    weights: np.ndarray
+    n_chains: int = 0
+    chain_len: int = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.n_chains == 0
+
+    def estimate(self, series: np.ndarray) -> EstimateResult:
+        """Weighted mean of a real per-configuration series."""
+        se = 0.0 if self.exact else _series_error(series, self.n_chains, self.chain_len)
+        return EstimateResult(value=float(self.weights @ series), std_error=se,
+                              n_samples=series.size,
+                              mode="exact_sum" if self.exact else "sampled")
+
+
+def _sampled_batch(params: RbmParams, samples) -> WeightedBatch:
+    if isinstance(samples, SampleSet):
+        spins, n_chains, chain_len = samples.spins, samples.n_chains, samples.chain_len
+    else:
+        spins = np.atleast_2d(np.asarray(samples, dtype=float))
+        if spins.size == 0:
+            raise ValidationError("empty sample set")
+        n_chains, chain_len = 1, spins.shape[0]
+    return WeightedBatch(evaluate(params, spins), np.full(spins.shape[0], 1.0 / spins.shape[0]),
+                         n_chains, chain_len)
+
+
+def _exact_batch(params: RbmParams, partition: Partition, cap: int = DENSE_CAP) -> WeightedBatch:
+    if partition.n_v != params.n_v:
+        raise ValidationError("partition does not match parameter shape")
+    if partition.n_v > cap:
+        raise DenseCapError(f"exact_sum over {partition.n_v} spins exceeds dense cap {cap}")
+    ev = evaluate(params, all_configs(partition.n_v))
+    p = np.exp(2.0 * (ev.log_psi.real - ev.log_psi.real.max()))
+    return WeightedBatch(ev, p / p.sum())
+
+
+def weighted_batch(params: RbmParams, partition: Partition, samples=None,
+                   exact_sum: bool = False, cap: int = DENSE_CAP) -> WeightedBatch:
+    """The batch an estimate averages over; a WeightedBatch passes through."""
+    if isinstance(samples, WeightedBatch):
+        return samples
+    if exact_sum:
+        return _exact_batch(params, partition, cap)
+    if samples is None:
+        raise ValidationError("samples required unless exact_sum")
+    return _sampled_batch(params, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -100,20 +154,18 @@ def pauli_action(obs: PauliString, partition: Partition,
     return np.asarray(coeff, dtype=complex), connected
 
 
-def _local_estimators(params: RbmParams, partition: Partition, obs: PauliString,
-                      configs: np.ndarray) -> np.ndarray:
-    coeff, connected = pauli_action(obs, partition, configs)
-    if obs.is_diagonal:
-        return coeff
-    ratio = np.exp(log_amplitudes(params, connected) - log_amplitudes(params, configs))
-    return coeff * ratio
-
-
-def local_estimator(params: RbmParams, partition: Partition, obs: PauliString,
-                    v: np.ndarray) -> complex:
-    """O_loc(v) = <v|O|v'> psi(v')/psi(v) over the single connected v'."""
-    _check_obs(partition, obs)
-    return complex(_local_estimators(params, partition, obs, np.asarray(v)[None, :])[0])
+def observable_terms(params: RbmParams, partition: Partition, obs: PauliString,
+                     batch: WeightedBatch) -> tuple[EstimateResult, np.ndarray, Batch | None]:
+    """<O> over a weighted batch, the local estimators
+    O_loc(v) = <v|O|v'> psi(v')/psi(v), and the evaluated connected
+    configurations v' (None for a diagonal O, whose v' = v)."""
+    coeff, connected = pauli_action(obs, partition, batch.ev.configs)
+    conn = None
+    o_loc = coeff
+    if not obs.is_diagonal:
+        conn = evaluate(params, connected)
+        o_loc = coeff * np.exp(conn.log_psi - batch.ev.log_psi)
+    return batch.estimate(o_loc.real), o_loc, conn
 
 
 def estimate_observable(params: RbmParams, partition: Partition, obs: PauliString,
@@ -121,83 +173,103 @@ def estimate_observable(params: RbmParams, partition: Partition, obs: PauliStrin
                         cap: int = DENSE_CAP) -> EstimateResult:
     """<O> as the |psi|^2-weighted mean of the local estimator."""
     _check_obs(partition, obs)
-    if exact_sum:
-        configs = all_configs(partition.n_v)
-        if partition.n_v > cap:
-            raise ValidationError(f"exact_sum above dense cap {cap}")
-        ln = log_amplitudes(params, configs)
-        p = np.exp(2.0 * (ln.real - ln.real.max()))
-        o_loc = _local_estimators(params, partition, obs, configs)
-        value = float(np.real(p @ o_loc) / p.sum())
-        return EstimateResult(value=value, std_error=0.0,
-                              n_samples=configs.shape[0], mode="exact_sum")
-    if samples is None:
-        raise ValidationError("samples required unless exact_sum")
-    spins, n_chains, chain_len = _resolve_samples(samples)
-    series = np.real(_local_estimators(params, partition, obs, spins))
-    return EstimateResult(value=float(series.mean()),
-                          std_error=_series_error(series, n_chains, chain_len),
-                          n_samples=series.size, mode="sampled")
+    batch = weighted_batch(params, partition, samples, exact_sum, cap)
+    return observable_terms(params, partition, obs, batch)[0]
 
 
 # ---------------------------------------------------------------------------
 # replica-trick entropies
 
-def replica_permuted(partition: Partition, streams: list[np.ndarray]) -> list[np.ndarray]:
-    """w_k = (system spins of stream k+1 mod n, environment spins of stream k)."""
-    n = len(streams)
-    ns = partition.n_sys
-    return [np.concatenate([streams[(k + 1) % n][:, :ns], streams[k][:, ns:]], axis=1)
-            for k in range(n)]
+class Replicas:
+    """Evaluated replica streams u_0..u_{k-1} plus the permuted arrays
+    (system spins of one stream, environment spins of another), each
+    evaluated once on first use and shared by every replica order. An exact
+    enumeration is a single |psi|^2-weighted stream."""
+
+    def __init__(self, params: RbmParams, partition: Partition, streams: list[WeightedBatch]):
+        self.params, self.partition, self.streams = params, partition, streams
+        self._permuted = {}
+
+    @property
+    def exact(self) -> bool:
+        return self.streams[0].exact
+
+    def permuted(self, sys_of: int, env_of: int) -> Batch:
+        key = (sys_of, env_of)
+        if key not in self._permuted:
+            ns = self.partition.n_sys
+            configs = np.concatenate([self.streams[sys_of].ev.configs[:, :ns],
+                                      self.streams[env_of].ev.configs[:, ns:]], axis=1)
+            self._permuted[key] = evaluate(self.params, configs)
+        return self._permuted[key]
 
 
-def replica_terms(params: RbmParams, partition: Partition,
-                  streams: list[np.ndarray]) -> np.ndarray:
-    """Per-tuple terms prod_k psi(w_k)/psi(u_k) for aligned sample streams."""
-    log_term = 0.0
-    for u, w in zip(streams, replica_permuted(partition, streams)):
-        log_term = log_term + log_amplitudes(params, w) - log_amplitudes(params, u)
-    return np.exp(log_term)
-
-
-def _resolve_streams(replica_samples, n: int) -> tuple[list[np.ndarray], int, int]:
+def replicas(params: RbmParams, partition: Partition, replica_samples, n: int,
+             exact_sum: bool = False) -> Replicas:
+    """Evaluate n replica streams (or the enumeration); Replicas pass through."""
+    if n < 2:
+        raise ValidationError("replica order must be >= 2")
+    if partition.n_v != params.n_v:
+        raise ValidationError("partition does not match parameter shape")
+    if isinstance(replica_samples, Replicas):
+        if not replica_samples.exact and len(replica_samples.streams) < n:
+            raise ValidationError(f"need at least {n} replica streams")
+        return replica_samples
+    if exact_sum:
+        return Replicas(params, partition, [_exact_batch(params, partition)])
     if replica_samples is None or len(replica_samples) != n:
         raise ValidationError(f"need exactly {n} replica streams")
-    resolved = [_resolve_samples(s) for s in replica_samples]
-    arrays = [r[0] for r in resolved]
-    if len({a.shape for a in arrays}) != 1:
+    streams = [_sampled_batch(params, s) for s in replica_samples]
+    if len({s.ev.configs.shape for s in streams}) != 1:
         raise ValidationError("replica streams must have equal shapes")
-    return arrays, resolved[0][1], resolved[0][2]
+    return Replicas(params, partition, streams)
 
 
-def _renyi_exact(params: RbmParams, partition: Partition, n: int,
-                 cap: int = DENSE_CAP) -> float:
-    v, _ = amplitude_matrix(params, partition, cap)
-    ev = np.clip(np.linalg.eigvalsh(v @ v.conj().T), 0.0, None)
-    return float((ev**n).sum() / ev.sum() ** n)
+def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]:
+    """Tr rho_A^n over the replicas: (value, per-tuple terms, pairs), where
+    contracting each (batch, c) pair and summing gives the gradient.
+
+    Sampled: T = prod_k psi(w_k)/psi(u_k) over aligned tuples of the first n
+    streams, value = mean Re T, and
+    d value = Re mean T sum_k (F(u_k)* + F(w_k)) - value mean sum_k 2 Re F(u_k)
+    with F = d log psi. Exact: with V the normalized amplitude matrix and
+    rho = V V^dagger, d Tr rho^n = n Re sum_v 2 conj(rho^{n-1} V)[v] dV[v]
+    minus n Tr rho^n d ln Z; the tuple enumeration (2^(n n_v) terms)
+    collapses to these matrix products. Terms are None when exact.
+    """
+    if reps.exact:
+        batch = reps.streams[0]
+        ns, ne = reps.partition.n_sys, reps.partition.n_env
+        v = (np.sqrt(batch.weights) * np.exp(1j * batch.ev.log_psi.imag)).reshape(2**ns, 2**ne)
+        rho = v @ v.conj().T
+        ev = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        value = float((ev**n).sum() / ev.sum() ** n)
+        g = np.conj(np.linalg.matrix_power(rho, n - 1) @ v) * v
+        return value, None, [(batch.ev, 2.0 * n * (g.reshape(-1) - value * batch.weights))]
+    u = reps.streams[:n]
+    w = [reps.permuted((k + 1) % n, k) for k in range(n)]
+    terms = np.exp(sum(wk.log_psi - uk.ev.log_psi for uk, wk in zip(u, w)))
+    weights = u[0].weights
+    value = float(weights @ terms.real)
+    wt = weights * terms
+    c_u = np.conj(wt) - 2.0 * value * weights
+    return value, terms, [(uk.ev, c_u) for uk in u] + [(wk, wt) for wk in w]
 
 
 def _renyi_estimate(params: RbmParams, partition: Partition, n: int,
                     replica_samples, exact_sum: bool) -> tuple[EstimateResult, float]:
     """Shared path for estimate_renyi_n / estimate_swap; also returns the
     imaginary part of the term mean (diagnostic)."""
-    if n < 2:
-        raise ValidationError("replica order must be >= 2")
-    if partition.n_v != params.n_v:
-        raise ValidationError("partition does not match parameter shape")
-    if exact_sum:
-        est = EstimateResult(value=_renyi_exact(params, partition, n), std_error=0.0,
+    reps = replicas(params, partition, replica_samples, n, exact_sum)
+    value, terms, _ = renyi_terms(reps, n)
+    if terms is None:
+        est = EstimateResult(value=value, std_error=0.0,
                              n_samples=2**partition.n_v, mode="exact_sum")
         return est, 0.0
-    arrays, n_chains, chain_len = _resolve_streams(replica_samples, n)
-    terms = replica_terms(params, partition, arrays)
-    value = float(terms.real.mean())
     if value <= 0.0:
         raise EstimationError(
             f"non-positive Tr(rho^{n}) estimate {value:.3e}; more samples needed")
-    est = EstimateResult(value=value,
-                         std_error=_series_error(terms.real, n_chains, chain_len),
-                         n_samples=terms.size, mode="sampled")
+    est = reps.streams[0].estimate(terms.real)
     return est, float(terms.imag.mean())
 
 

@@ -2,19 +2,22 @@
 
 Cost: C = -S(rho) + sum_i xi_i * (<O_i> - target_i)^2, entropy in bits.
 
-Analytic gradients use the log-derivative vector F(v) = d log psi / d x
-(rbm.log_derivatives). With samples v ~ |psi|^2:
+Analytic gradients are contractions (rbm.contract): with F(v) = d log psi / d x,
+each gradient is Re sum_n c_n F(v_n) over an evaluated batch for a
+coefficient vector c, and no per-configuration table of F is built. Over a
+weighted batch (weights 1/N for samples v ~ |psi|^2, normalized |psi|^2 for
+the exact enumeration):
 
-  d<O>     = Re< (F(v)* + F(v')) O_loc(v) >  -  <O> <2 Re F(v)>
-  d Tr r^n = Re< W_n(u_1..u_n) sum_k (F(u_k)* + F(w_k)) >
-             - Tr r^n < sum_k 2 Re F(u_k) >
+  d<O>     = Re sum w (F(v)* + F(v')) O_loc(v)  -  <O> sum w 2 Re F(v)
+  d Tr r^n = see estimators.renyi_terms (replica tuples when sampled, the
+             amplitude-matrix form when exact)
   d S2     = -d<SWAP> / (<SWAP> ln 2)        (bits)
 
-where v' is the Pauli-connected partner, w_k the cyclically permuted
-replica configuration, and W_n the per-tuple replica term. The exact_sum
-mode evaluates the same expressions as full enumerations; for Tr rho^n the
-enumeration over n-tuples is collapsed analytically to matrix products of
-the amplitude matrix (identical algebra, no tuple blowup).
+where v' is the Pauli-connected partner. So sampled and exact_sum modes
+run the same code, and a training epoch evaluates each configuration array
+once: the replica streams (stream 0 doubles as the observable batch), the
+permuted replica arrays and the connected arrays of off-diagonal
+observables.
 
 All of it is verified against central finite differences of the exact
 cost (finite_difference_gradient).
@@ -25,29 +28,29 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EstimationError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .estimators import (
     EstimateResult,
     LN2,
-    _series_error,
-    pauli_action,
-    replica_permuted,
+    Replicas,
+    _check_obs,
+    observable_terms,
+    renyi_terms,
+    replicas,
     vne_bits_from_raw_powers,
     vne_coefficients,
+    weighted_batch,
 )
 from .oracle import DENSE_CAP, PauliString
 from .rbm import (
     PARAM_BOUND,
     Partition,
     RbmParams,
-    amplitude_matrix,
-    log_amplitudes,
-    log_derivatives,
+    contract,
     pack_parameters,
     unpack_parameters,
 )
-from .samplers import SamplerConfig, SampleSet, derive_seed, fit_surrogate, sample_replicas
-from .spins import all_configs
+from .samplers import SamplerConfig, derive_seed, fit_surrogate, sample_replicas
 
 
 @dataclass(frozen=True)
@@ -151,135 +154,51 @@ def cost(entropy_bits: float, residuals, xis) -> float:
 def _observable_value_and_grad(params: RbmParams, partition: Partition, obs: PauliString,
                                samples=None, exact_sum: bool = False,
                                cap: int = DENSE_CAP) -> tuple[EstimateResult, np.ndarray]:
-    if obs.n_qubits != partition.n_sys:
-        raise ValidationError("observable must act on exactly the system qubits")
-    if exact_sum:
-        if partition.n_v > cap:
-            raise ValidationError(f"exact_sum above dense cap {cap}")
-        configs = all_configs(partition.n_v)
-        ln = log_amplitudes(params, configs)
-        weights = np.exp(2.0 * (ln.real - ln.real.max()))
-        weights /= weights.sum()
-        n_chains = chain_len = None
-    else:
-        if samples is None:
-            raise ValidationError("samples required unless exact_sum")
-        if isinstance(samples, SampleSet):
-            configs, n_chains, chain_len = samples.spins, samples.n_chains, samples.chain_len
-        else:
-            configs = np.atleast_2d(np.asarray(samples, dtype=float))
-            n_chains, chain_len = 1, configs.shape[0]
-        weights = np.full(configs.shape[0], 1.0 / configs.shape[0])
-    coeff, connected = pauli_action(obs, partition, configs)
-    o_loc = coeff * np.exp(log_amplitudes(params, connected) - log_amplitudes(params, configs))
-    f = log_derivatives(params, configs)
-    f_conn = f if obs.is_diagonal else log_derivatives(params, connected)
-    value = float(np.real(weights @ o_loc))
-    term1 = (weights * o_loc) @ (f.conj() + f_conn)
-    mean_2ref = weights @ (2.0 * f.real)
-    grad = np.real(term1) - value * mean_2ref
-    if exact_sum:
-        est = EstimateResult(value=value, std_error=0.0,
-                             n_samples=configs.shape[0], mode="exact_sum")
-    else:
-        est = EstimateResult(value=value,
-                             std_error=_series_error(o_loc.real, n_chains, chain_len),
-                             n_samples=configs.shape[0], mode="sampled")
-    return est, grad
-
-
-def grad_observable_term(params: RbmParams, partition: Partition, obs: PauliString,
-                         samples=None, exact_sum: bool = False) -> np.ndarray:
-    """Gradient of <O> over all packed parameter coordinates."""
-    return _observable_value_and_grad(params, partition, obs, samples, exact_sum)[1]
+    """<O> and its gradient from one local-estimator evaluation."""
+    _check_obs(partition, obs)
+    batch = weighted_batch(params, partition, samples, exact_sum, cap)
+    est, o_loc, conn = observable_terms(params, partition, obs, batch)
+    wo = batch.weights * o_loc
+    c = np.conj(wo) - 2.0 * est.value * batch.weights
+    if conn is None:
+        return est, contract(params, batch.ev, c + wo)
+    return est, contract(params, batch.ev, c) + contract(params, conn, wo)
 
 
 # ---------------------------------------------------------------------------
 # replica entropy gradients
 
-def _streams_arrays(replica_samples, n: int):
-    if replica_samples is None or len(replica_samples) != n:
-        raise ValidationError(f"need exactly {n} replica streams")
-    out = []
-    meta = None
-    for s in replica_samples:
-        if isinstance(s, SampleSet):
-            out.append(s.spins)
-            meta = meta or (s.n_chains, s.chain_len)
-        else:
-            arr = np.atleast_2d(np.asarray(s, dtype=float))
-            out.append(arr)
-            meta = meta or (1, arr.shape[0])
-    if len({a.shape for a in out}) != 1:
-        raise ValidationError("replica streams must have equal shapes")
-    return out, meta
-
-
-def _renyi_value_and_grad_sampled(params: RbmParams, partition: Partition, n: int,
-                                  streams: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    permuted = replica_permuted(partition, streams)
-    log_term = 0.0
-    f_sum = 0.0
-    ref_sum = 0.0
-    for u, w in zip(streams, permuted):
-        log_term = log_term + log_amplitudes(params, w) - log_amplitudes(params, u)
-        f_u = log_derivatives(params, u)
-        f_sum = f_sum + f_u.conj() + log_derivatives(params, w)
-        ref_sum = ref_sum + 2.0 * f_u.real
-    terms = np.exp(log_term)
-    value = float(terms.real.mean())
-    term1 = (terms @ f_sum) / terms.size
-    grad = np.real(term1) - value * ref_sum.mean(axis=0)
-    return value, grad
-
-
-def _renyi_value_and_grad_exact(params: RbmParams, partition: Partition,
-                                n: int) -> tuple[float, np.ndarray]:
-    # Tr[(V V+)^n] differentiated in matrix form: with M = V V+ and
-    # G = M^{n-1}, dTr[M^n] = n * 2Re sum_v conj(GV)[v] psi[v] F_x(v).
-    v, _ = amplitude_matrix(params, partition)
-    psi = v.reshape(-1)
-    m = v @ v.conj().T
-    g = np.linalg.matrix_power(m, n - 1)
-    ev = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    z = float(ev.sum())
-    value = float((ev**n).sum() / z**n)
-    f = log_derivatives(params, all_configs(partition.n_v))
-    w_vec = np.conj((g @ v).reshape(-1)) * psi
-    d_numer = n * 2.0 * np.real(w_vec @ f)
-    d_z = (2.0 * f.real.T) @ (np.abs(psi) ** 2)
-    grad = d_numer / z**n - n * value * d_z / z
-    return value, grad
+def _contract_pairs(params: RbmParams, pairs) -> np.ndarray:
+    """Sum of contractions, one per distinct batch (coefficients merged)."""
+    merged = {}
+    for batch, c in pairs:
+        key = id(batch)
+        merged[key] = (batch, merged[key][1] + c) if key in merged else (batch, c)
+    return sum(contract(params, batch, c) for batch, c in merged.values())
 
 
 def renyi_value_and_grad(params: RbmParams, partition: Partition, n: int,
                          replica_samples=None, exact_sum: bool = False
                          ) -> tuple[float, np.ndarray]:
     """(Tr rho_A^n, its gradient). Sampled mode uses the first n streams."""
-    if n < 2:
-        raise ValidationError("replica order must be >= 2")
-    if exact_sum:
-        return _renyi_value_and_grad_exact(params, partition, n)
-    streams, _ = _streams_arrays(replica_samples, n)
-    return _renyi_value_and_grad_sampled(params, partition, n, streams)
-
-
-def grad_entropy_term(params: RbmParams, partition: Partition,
-                      replica_samples=None, exact_sum: bool = False) -> np.ndarray:
-    """Gradient of S2 = -log2 Tr(rho_A^2) in bits."""
-    swap, grad_swap = renyi_value_and_grad(params, partition, 2, replica_samples, exact_sum)
-    if swap <= 0.0:
-        raise EstimationError(f"non-positive <SWAP> estimate {swap:.3e}")
-    return -grad_swap / (swap * LN2)
+    value, _, pairs = renyi_terms(replicas(params, partition, replica_samples, n, exact_sum), n)
+    return value, _contract_pairs(params, pairs)
 
 
 def s2_value_and_grad(params: RbmParams, partition: Partition,
                       replica_samples=None, exact_sum: bool = False
-                      ) -> tuple[float, np.ndarray]:
+                      ) -> tuple[float, np.ndarray, bool]:
+    """S2 = -log2 Tr rho_A^2 in bits, its gradient, and whether the floor bound.
+
+    No model state has Tr rho_A^2 below 2^-min(n_sys, n_env), so exact
+    values never reach the floor; a sampled estimate under half that bound
+    is estimator noise and is floored to keep the log finite.
+    """
     swap, grad_swap = renyi_value_and_grad(params, partition, 2, replica_samples, exact_sum)
-    if swap <= 0.0:
-        raise EstimationError(f"non-positive <SWAP> estimate {swap:.3e}")
-    return -math.log2(swap), -grad_swap / (swap * LN2)
+    floor = 0.5 * 2.0 ** (-min(partition.n_sys, partition.n_env))
+    floored = swap < floor
+    swap = max(swap, floor)
+    return -math.log2(swap), -grad_swap / (swap * LN2), floored
 
 
 def vne_value_and_grad(params: RbmParams, partition: Partition, n_c: int,
@@ -289,18 +208,13 @@ def vne_value_and_grad(params: RbmParams, partition: Partition, n_c: int,
     2..n_c. Sampled mode reuses the first m of the n_c replica streams for
     power m; noisy power estimates are fed to the polynomial unvalidated."""
     alpha = vne_coefficients(n_c)
-    if not exact_sum:
-        streams, _ = _streams_arrays(replica_samples, n_c)
+    reps = replicas(params, partition, replica_samples, n_c, exact_sum)
     powers = np.empty(n_c - 1)
-    grad = 0.0
+    pairs = []
     for m in range(2, n_c + 1):
-        if exact_sum:
-            val, g = _renyi_value_and_grad_exact(params, partition, m)
-        else:
-            val, g = _renyi_value_and_grad_sampled(params, partition, m, streams[:m])
-        powers[m - 2] = val
-        grad = grad + alpha[m - 1] * g
-    return vne_bits_from_raw_powers(powers, n_c), -np.asarray(grad) / LN2
+        powers[m - 2], _, pairs_m = renyi_terms(reps, m)
+        pairs += [(batch, -alpha[m - 1] / LN2 * c) for batch, c in pairs_m]
+    return vne_bits_from_raw_powers(powers, n_c), _contract_pairs(params, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +247,36 @@ def finite_difference_gradient(cost_fn, params, h: float) -> np.ndarray:
     return grad
 
 
+def _penalty_terms(params: RbmParams, partition: Partition, constraints: ConstraintSet,
+                   xis: np.ndarray, reps: Replicas, n_c: int | None
+                   ) -> tuple[float, np.ndarray, np.ndarray, bool]:
+    """Entropy in bits (S2, or the polynomial von Neumann entropy at cutoff
+    n_c), residuals, grad C and whether the S2 floor bound, all from one
+    evaluated set of replicas whose stream 0 is the observable batch."""
+    floored = False
+    if n_c is None:
+        s_bits, grad_s, floored = s2_value_and_grad(params, partition, reps)
+    else:
+        s_bits, grad_s = vne_value_and_grad(params, partition, n_c, reps)
+    residuals = np.empty(len(constraints))
+    grad = -grad_s
+    for i, c in enumerate(constraints):
+        est, g = _observable_value_and_grad(params, partition, c.obs, reps.streams[0])
+        residuals[i] = est.value - c.target
+        grad = grad + 2.0 * xis[i] * residuals[i] * g
+    return s_bits, residuals, grad, floored
+
+
 def exact_cost_and_grad(params: RbmParams, partition: Partition,
                         constraints: ConstraintSet, xis,
                         entropy_mode: str = "renyi2", n_c: int = 12
                         ) -> tuple[float, np.ndarray]:
     """Deterministic exact-sum cost and analytic gradient (gradcheck target)."""
     xis = np.asarray(xis, dtype=float)
-    if entropy_mode == "renyi2":
-        s_bits, grad_s = s2_value_and_grad(params, partition, exact_sum=True)
-    else:
-        s_bits, grad_s = vne_value_and_grad(params, partition, n_c, exact_sum=True)
-    total = -grad_s
-    residuals = []
-    for c, xi in zip(constraints, xis):
-        est, g = _observable_value_and_grad(params, partition, c.obs, exact_sum=True)
-        r = est.value - c.target
-        residuals.append(r)
-        total = total + 2.0 * xi * r * g
-    return cost(s_bits, residuals, xis), total
+    reps = replicas(params, partition, None, 2, exact_sum=True)
+    s_bits, residuals, grad, _ = _penalty_terms(
+        params, partition, constraints, xis, reps, None if entropy_mode == "renyi2" else n_c)
+    return cost(s_bits, residuals, xis), grad
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +315,9 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
     With entropy_mode = renyi2_then_vne the entropy term switches to the
     polynomial von Neumann estimate for the final 10% of epochs.
 
-    A non-finite cost halts training, returning the partial trace with
-    status "diverged".
+    A non-finite cost or a numerical failure (NumericalError, which
+    includes EstimationError) halts training, returning the partial trace
+    with status "diverged".
     """
     n_sys = constraints.entries[0].obs.n_qubits
     if any(c.obs.n_qubits != n_sys for c in constraints):
@@ -419,41 +346,21 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
 
         try:
             if opt.exact_sum:
-                streams = None
-                obs_samples = None
+                reps = replicas(params, partition, None, 2, exact_sum=True)
                 acceptance = None
             else:
                 k = opt.vne_cutoff if vne_phase else 2
                 cfg = replace(sampler, n_samples=opt.samples_per_epoch,
                               seed=derive_seed(opt.seed, 0x45504F43 + epoch))
                 streams = sample_replicas(params, cfg, k, surrogate)
-                obs_samples = streams[0]
                 acceptance = float(np.mean([s.diagnostics["acceptance_rate"] for s in streams]))
                 if sampler.proposal == "SurrogateTrotter":
                     fit_batch = streams[0].spins[:min(256, streams[0].n_samples)]
-            if vne_phase:
-                s_bits, grad_s = vne_value_and_grad(
-                    params, partition, opt.vne_cutoff, streams, exact_sum=opt.exact_sum)
-            else:
-                swap, grad_swap = renyi_value_and_grad(
-                    params, partition, 2, streams, exact_sum=opt.exact_sum)
-                # No model state can have Tr rho_A^2 below 2^-min(n_sys,
-                # n_env); a sampled estimate under half that is estimator
-                # noise, so floor it to keep the log finite.
-                floor = 0.5 * 2.0 ** (-min(partition.n_sys, partition.n_env))
-                if swap < floor:
-                    swap = floor
-                    trace.entropy_floor_events += 1
-                s_bits = -math.log2(swap)
-                grad_s = -grad_swap / (swap * LN2)
-            residuals = np.empty(len(constraints))
-            grad_total = -grad_s
-            for i, c in enumerate(constraints):
-                est, g = _observable_value_and_grad(
-                    params, partition, c.obs, obs_samples, exact_sum=opt.exact_sum)
-                residuals[i] = est.value - c.target
-                grad_total = grad_total + 2.0 * xis[i] * residuals[i] * g
-        except EstimationError as exc:
+                reps = replicas(params, partition, streams, k)
+            s_bits, residuals, grad_total, floored = _penalty_terms(
+                params, partition, constraints, xis, reps, opt.vne_cutoff if vne_phase else None)
+            trace.entropy_floor_events += floored
+        except NumericalError as exc:
             trace.status = "diverged"
             trace.message = f"epoch {epoch}: {exc}"
             break

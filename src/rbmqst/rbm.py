@@ -6,12 +6,18 @@ The (unnormalized) amplitude of a visible configuration sigma is
                  * prod_j 2 cosh(beta * (b_j + sum_i W_ij sigma_i))
 
 i.e. the hidden units are summed out analytically. Sign convention: the
-exponent is +beta*(a.sigma + b.h + sigma.W.h); the log-derivative table
-below is derived under this convention and verified against finite
-differences. No normalization constant is ever computed — every consumer
-works with ratios.
+exponent is +beta*(a.sigma + b.h + sigma.W.h). No normalization constant is
+ever computed — every consumer works with ratios.
 
-Parameter vector layout (pack_parameters / log_derivatives):
+A configuration array is evaluated once into a Batch (configs, tanh theta,
+log psi with theta_j = beta*(b_j + sum_i W_ij v_i)). Gradients never build
+the per-configuration log-derivative table: `contract` returns
+Re sum_n c_n d log psi(v_n)/dx for a coefficient vector c directly, from
+d log psi/d a_k = beta v_k, d/d b_j = beta tanh theta_j and
+d/d W_kj = beta v_k tanh theta_j (the derivative along an imaginary part
+is i times the one along the real part).
+
+Packed parameter vector layout (pack_parameters / contract):
 Re a, Im a, Re b, Im b, Re W row-major, Im W row-major;
 total 2*(n_v + m + n_v*m) real coordinates.
 """
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseCapError, ValidationError
+from .errors import DenseCapError, NumericalError, ValidationError
 from .oracle import DENSE_CAP
 from .spins import all_configs
 
@@ -105,30 +111,34 @@ def _log2cosh(z: np.ndarray) -> np.ndarray:
     return s * z + np.log(1.0 + np.exp(-2.0 * s * z))
 
 
-def log_amplitudes(params: RbmParams, configs: np.ndarray) -> np.ndarray:
-    """Vectorized log psi over rows of configs (shape (N, n_v))."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """One evaluation of a configuration array (rows of +-1 spins)."""
+
+    configs: np.ndarray  # float (N, n_v)
+    tanh: np.ndarray  # complex (N, m), tanh theta
+    log_psi: np.ndarray  # complex (N,)
+
+
+def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
+    """Evaluate log psi and tanh theta over rows of configs, theta once."""
     configs = np.atleast_2d(np.asarray(configs, dtype=float))
     if configs.shape[1] != params.n_v:
         raise ValidationError("configuration length does not match n_v")
     theta = params.beta * (params.b + configs @ params.w)
-    out = params.beta * (configs @ params.a) + _log2cosh(theta).sum(axis=1)
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("non-finite log amplitude (parameter overflow guard)")
-    return out
+    log_psi = params.beta * (configs @ params.a) + _log2cosh(theta).sum(axis=1)
+    if not np.all(np.isfinite(log_psi)):
+        raise NumericalError("non-finite log amplitude")
+    return Batch(configs=configs, tanh=np.tanh(theta), log_psi=log_psi)
+
+
+def log_amplitudes(params: RbmParams, configs: np.ndarray) -> np.ndarray:
+    """Vectorized log psi over rows of configs (shape (N, n_v))."""
+    return evaluate(params, configs).log_psi
 
 
 def log_amplitude(params: RbmParams, config: np.ndarray) -> complex:
     return complex(log_amplitudes(params, np.asarray(config)[None, :])[0])
-
-
-def amplitude_ratio(params: RbmParams, config_num: np.ndarray, config_den: np.ndarray) -> complex:
-    """psi(num)/psi(den) evaluated in the log domain."""
-    pair = np.stack([np.asarray(config_num, float), np.asarray(config_den, float)])
-    ln = log_amplitudes(params, pair)
-    out = complex(np.exp(ln[0] - ln[1]))
-    if not np.isfinite(out.real) or not np.isfinite(out.imag):
-        raise ValidationError("amplitude ratio overflow")
-    return out
 
 
 def amplitude_matrix(params: RbmParams, partition: Partition,
@@ -161,10 +171,7 @@ def exact_density_matrix(params: RbmParams, partition: Partition,
 
 
 # ---------------------------------------------------------------------------
-# packed parameter vector and log-derivatives
-
-COORD_FAMILIES = ("a_re", "a_im", "b_re", "b_im", "w_re", "w_im")
-
+# packed parameter vector and the gradient contraction
 
 def pack_parameters(params: RbmParams) -> np.ndarray:
     return np.concatenate([
@@ -193,26 +200,6 @@ def unpack_parameters(vector: np.ndarray, n_v: int, m: int, beta: float = 1.0) -
     return RbmParams(a=a, b=b, w=w, beta=beta)
 
 
-def coord_index(params: RbmParams, family: str, k: int, p: int | None = None) -> int:
-    """Packed-vector index of one real coordinate (family as in COORD_FAMILIES)."""
-    n_v, m = params.n_v, params.m
-    offsets = {
-        "a_re": 0, "a_im": n_v,
-        "b_re": 2 * n_v, "b_im": 2 * n_v + m,
-        "w_re": 2 * (n_v + m), "w_im": 2 * (n_v + m) + n_v * m,
-    }
-    if family not in offsets:
-        raise ValidationError(f"unknown coordinate family {family!r}")
-    if family.startswith("w"):
-        if p is None or not (0 <= k < n_v and 0 <= p < m):
-            raise ValidationError("w coordinate needs indices (k, p) in range")
-        return offsets[family] + k * m + p
-    bound = n_v if family.startswith("a") else m
-    if p is not None or not (0 <= k < bound):
-        raise ValidationError("coordinate index out of range")
-    return offsets[family] + k
-
-
 def coord_label(params: RbmParams, index: int) -> str:
     n_v, m = params.n_v, params.m
     blocks = [("a_re", n_v), ("a_im", n_v), ("b_re", m), ("b_im", m),
@@ -226,39 +213,15 @@ def coord_label(params: RbmParams, index: int) -> str:
     raise ValidationError("packed index out of range")
 
 
-def log_derivatives(params: RbmParams, configs: np.ndarray) -> np.ndarray:
-    """F(v) = d log psi(v) / d x per packed real coordinate x; shape (N, P).
-
-    Rows of the table (theta_p = beta*(b_p + sum_i W_ip v_i)):
-    Re(a_k): beta*v_k          Im(a_k): i*beta*v_k
-    Re(b_p): beta*tanh theta_p Im(b_p): i*beta*tanh theta_p
-    Re(W_kp): beta*v_k*tanh theta_p  Im(W_kp): i*beta*v_k*tanh theta_p
-    """
-    configs = np.atleast_2d(np.asarray(configs, dtype=float))
+def contract(params: RbmParams, batch: Batch, c: np.ndarray) -> np.ndarray:
+    """Packed real vector Re sum_n c_n d log psi(v_n) / dx for complex
+    coefficients c over the batch's rows: three matmuls, no (N, P) table."""
+    c = np.asarray(c, dtype=complex)
     beta = params.beta
-    theta = beta * (params.b + configs @ params.w)
-    t = np.tanh(theta)  # (N, m)
-    sig = configs.astype(complex)
-    outer = (configs[:, :, None] * t[:, None, :]).reshape(configs.shape[0], -1)
-    return beta * np.concatenate(
-        [sig, 1j * sig, t, 1j * t, outer, 1j * outer], axis=1)
-
-
-def d_matrix_entry(params: RbmParams, which, v: np.ndarray, v_prime: np.ndarray) -> complex:
-    """Log-derivative of the unnormalized kernel psi(v) psi*(v') for one real
-    parameter coordinate: D(v, v') = F(v) + conj(F(v')), so that
-    d rho(v,v') / d x = D * rho(v,v') entrywise.
-
-    `which` is either a packed index or a (family, k[, p]) tuple.
-    """
-    if isinstance(which, (tuple, list)):
-        idx = coord_index(params, *which)
-    else:
-        idx = int(which)
-        if not 0 <= idx < params.n_coords:
-            raise ValidationError("packed coordinate index out of range")
-    f = log_derivatives(params, np.stack([np.asarray(v, float), np.asarray(v_prime, float)]))
-    return complex(f[0, idx] + np.conj(f[1, idx]))
+    blocks = (beta * (batch.configs.T @ c),
+              beta * (batch.tanh.T @ c),
+              beta * (batch.configs.T @ (c[:, None] * batch.tanh)).reshape(-1))
+    return np.concatenate([part for g in blocks for part in (g.real, -g.imag)])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -95,7 +94,10 @@ class ExperimentSpec:
         if self.sweep < 1:
             raise ValidationError("sweep must be >= 1")
         check_cap(self.n_sys + self.n_env_target)
-        check_cap(self.n_sys + self.n_env_model)
+        # Sampled training never enumerates the model's configurations; the
+        # exact sum and the dense Trotter proposal matrix do.
+        if self.optimizer.exact_sum or self.sampler.proposal == "SurrogateTrotter":
+            check_cap(self.n_sys + self.n_env_model)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -192,38 +194,46 @@ def build_constraints(target_doc: dict, xi_init: float) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 # train
 
+def _dense_eval(params: RbmParams, partition: Partition,
+                constraints: ConstraintSet) -> tuple[dict, float] | None:
+    """Exact residuals and S2 from the dense density matrix; None above DENSE_CAP."""
+    if partition.n_v > DENSE_CAP:
+        return None
+    rho = exact_density_matrix(params, partition)
+    residuals = {c.obs.identifier: pauli_expectation_exact(rho, c.obs) - c.target
+                 for c in constraints}
+    return residuals, entropy_exact(rho, 2)
+
+
+def _sampled_eval(params: RbmParams, partition: Partition, constraints: ConstraintSet,
+                  sampler: SamplerConfig) -> tuple[dict, dict, float, float]:
+    """Sampled residuals, their standard errors, S2 and its standard error."""
+    pair = sample_replicas(params, sampler, 2)
+    ests = {c.obs.identifier: estimate_observable(params, partition, c.obs, pair[0])
+            for c in constraints}
+    residuals = {c.obs.identifier: ests[c.obs.identifier].value - c.target for c in constraints}
+    std_errors = {key: est.std_error for key, est in ests.items()}
+    swap = estimate_swap(params, partition, pair)
+    return residuals, std_errors, swap.s2_bits, swap.s2_std_error
+
+
 def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
             trace, wall_per_epoch: float, sampler: SamplerConfig) -> dict:
-    bound = float(min(partition.n_sys, partition.n_env))
-    exact_ok = partition.n_v <= DENSE_CAP
-    residuals = {}
-    s2_exact = None
-    if exact_ok:
-        rho = exact_density_matrix(params, partition)
-        for c in constraints:
-            residuals[c.obs.identifier] = pauli_expectation_exact(rho, c.obs) - c.target
-        s2_exact = entropy_exact(rho, 2)
-    else:
-        for c in constraints:
-            residuals[c.obs.identifier] = (trace.records[-1]["residuals"][c.obs.identifier]
-                                           if trace.records else None)
     eval_cfg = replace(sampler, seed=derive_seed(sampler.seed, 0xE7A1),
                        n_samples=max(sampler.n_samples, 4096))
-    pair = sample_replicas(params, eval_cfg, 2)
-    obs_samples = pair[0]
-    s2_sampled = estimate_swap(params, partition, pair).s2_bits
-    sampled_residuals = {
-        c.obs.identifier:
-            estimate_observable(params, partition, c.obs, obs_samples).value - c.target
-        for c in constraints}
-    final = residuals if exact_ok else sampled_residuals
+    sampled, std_errors, s2_sampled, s2_se = _sampled_eval(params, partition, constraints,
+                                                           eval_cfg)
+    dense = _dense_eval(params, partition, constraints)
+    final, s2_exact = dense if dense is not None else (sampled, None)
     return {
         "final_residuals": final,
         "total_residual": float(sum(abs(v) for v in final.values())),
-        "sampled_residuals": sampled_residuals,
+        "sampled_residuals": sampled,
+        "sampled_std_errors": std_errors,
         "s2_bits_sampled": s2_sampled,
+        "s2_std_error_sampled": s2_se,
         "s2_bits_exact": s2_exact,
-        "entropy_bound_bits": bound,
+        "entropy_bound_bits": float(min(partition.n_sys, partition.n_env)),
         "wall_clock_per_epoch_s": wall_per_epoch,
         "epochs_run": len(trace.records),
         "status": trace.status,
@@ -268,10 +278,7 @@ def cmd_train(spec: ExperimentSpec, target_path=None, outdir: Path | None = None
 
     seeds = [derive_seed(spec.optimizer.seed, s) for s in range(spec.sweep)]
     dirs = [outdir / f"seed_{s:02d}" for s in range(spec.sweep)]
-    with ThreadPoolExecutor(max_workers=min(4, spec.sweep)) as pool:
-        reports = list(pool.map(
-            lambda args: _single_run(spec, target_doc, args[0], args[1]),
-            zip(dirs, seeds)))
+    reports = [_single_run(spec, target_doc, d, seed) for d, seed in zip(dirs, seeds)]
 
     curve_stack = []
     for d in dirs:
@@ -310,22 +317,13 @@ def cmd_eval(checkpoint_path, target_path, outdir: Path | None = None,
         raise ValidationError("checkpoint and target disagree on system size")
     constraints = build_constraints(target_doc, 1.0)
     bound = float(min(partition.n_sys, partition.n_env))
-    exact_ok = partition.n_v <= DENSE_CAP
-    if exact_ok:
-        rho = exact_density_matrix(params, partition)
-        residuals = {c.obs.identifier: pauli_expectation_exact(rho, c.obs) - c.target
-                     for c in constraints}
-        s2 = entropy_exact(rho, 2)
-        mode = "exact"
+    dense = _dense_eval(params, partition, constraints)
+    if dense is not None:
+        mode, (residuals, s2) = "exact", dense
     else:
         sampler = sampler or SamplerConfig(n_samples=8192, burn_in=1024, thinning=2)
-        pair = sample_replicas(params, sampler, 2)
-        residuals = {
-            c.obs.identifier:
-                estimate_observable(params, partition, c.obs, pair[0]).value - c.target
-            for c in constraints}
-        s2 = estimate_swap(params, partition, pair).s2_bits
         mode = "sampled"
+        residuals, _, s2, _ = _sampled_eval(params, partition, constraints, sampler)
     report = {
         "mode": mode,
         "final_residuals": residuals,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP
-from .rbm import RbmParams, log_amplitudes
+from .rbm import RbmParams, _log2cosh, log_amplitudes
 from .spins import all_configs, configs_to_indices
 
 PROPOSALS = ("LocalFlip", "Uniform", "SurrogateTrotter")
@@ -217,8 +217,7 @@ def _logpsi_re(params: RbmParams, configs: np.ndarray) -> np.ndarray:
     configs = np.atleast_2d(configs)
     theta = params.beta * (params.b + configs @ params.w)
     with np.errstate(divide="ignore"):
-        s = np.where(theta.real >= 0, 1.0, -1.0)
-        l2c = (s * theta + np.log(1.0 + np.exp(-2.0 * s * theta))).real
+        l2c = _log2cosh(theta).real
     return params.beta * (configs @ params.a).real + l2c.sum(axis=1)
 
 

@@ -40,9 +40,3 @@ def indices_to_configs(indices: np.ndarray, n: int) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
     bits = (idx[..., None] >> np.arange(n - 1, -1, -1)) & 1
     return (1.0 - 2.0 * bits).astype(np.float64)
-
-def validate_spins(configs: np.ndarray) -> np.ndarray:
-    configs = np.asarray(configs, dtype=np.float64)
-    if not np.all(np.abs(configs) == 1.0):
-        raise ValueError("spin entries must be exactly +1 or -1")
-    return configs

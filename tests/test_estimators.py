@@ -3,18 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rbmqst.errors import EstimationError, ValidationError
+from rbmqst import spins
 from rbmqst.estimators import (
     estimate_observable,
     estimate_renyi_n,
     estimate_swap,
-    local_estimator,
+    observable_terms,
     pauli_action,
-    replica_permuted,
-    replica_terms,
+    renyi_terms,
+    replicas,
     required_samples,
     vne_bits_from_raw_powers,
     vne_coefficients,
     vne_from_powers,
+    weighted_batch,
 )
 from rbmqst.oracle import (
     PauliString,
@@ -64,11 +66,15 @@ def test_pauli_action_env_untouched():
     assert_allclose(connected[:, 2:], all_configs(4)[:, 2:])
 
 
+def local_estimators(params, part, obs, configs):
+    return observable_terms(params, part, obs, weighted_batch(params, part, configs))[1]
+
+
 def test_local_estimator_diagonal_is_spin_product():
     params, part = make(3, 1, seed=5)
-    v = np.array([1.0, -1.0, -1.0, 1.0])
-    assert local_estimator(params, part, PauliString("ZIZ"), v) == pytest.approx(-1.0)
-    assert local_estimator(params, part, PauliString("IZZ"), v) == pytest.approx(1.0)
+    v = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+    assert_allclose(local_estimators(params, part, PauliString("ZIZ"), v), [-1.0, -1.0])
+    assert_allclose(local_estimators(params, part, PauliString("IZZ"), v), [1.0, -1.0])
 
 
 def test_local_estimator_offdiagonal_uses_amplitude_ratio():
@@ -76,14 +82,17 @@ def test_local_estimator_offdiagonal_uses_amplitude_ratio():
     v = np.array([1.0, 1.0, -1.0])
     conn = np.array([-1.0, 1.0, -1.0])
     want = np.exp(log_amplitude(params, conn) - log_amplitude(params, v))
-    got = local_estimator(params, part, PauliString("XI"), v)
-    assert_allclose(got, want, rtol=1e-12)
+    got = local_estimators(params, part, PauliString("XI"), v[None, :])
+    assert_allclose(got, [want], rtol=1e-12)
+    # the sampled value of a one-row batch is the real part of that estimator
+    est = estimate_observable(params, part, PauliString("XI"), samples=v[None, :])
+    assert est.value == pytest.approx(want.real, rel=1e-12)
 
 
 def test_obs_width_mismatch_raises():
     params, part = make(2, 1)
     with pytest.raises(ValidationError):
-        local_estimator(params, part, PauliString("XXX"), np.ones(3))
+        estimate_observable(params, part, PauliString("XXX"), samples=np.ones((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,17 @@ def test_exact_sum_respects_cap():
     params, part = make(2, 2)
     with pytest.raises(ValidationError):
         estimate_observable(params, part, PauliString("ZZ"), exact_sum=True, cap=3)
+
+
+def test_exact_sum_checks_cap_before_enumerating():
+    # the cap is checked before the 2^n_v configurations are built (and cached)
+    params, part = make(2, 15, m=1)
+    before = spins._all_configs_cached.cache_info().currsize
+    with pytest.raises(ValidationError):
+        estimate_observable(params, part, PauliString("ZZ"), exact_sum=True)
+    with pytest.raises(ValidationError):
+        estimate_swap(params, part, exact_sum=True)
+    assert spins._all_configs_cached.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +188,13 @@ def test_replica_stream_validation():
 
 def test_replica_permuted_example():
     part = Partition(2, 1)
+    params = init_params(part.n_v, 1, np.random.default_rng(0))
     u0 = np.array([[1.0, 1.0, 1.0]])
     u1 = np.array([[-1.0, -1.0, -1.0]])
-    w = replica_permuted(part, [u0, u1])
-    assert_allclose(w[0], [[-1.0, -1.0, 1.0]])  # system of u1, env of u0
-    assert_allclose(w[1], [[1.0, 1.0, -1.0]])
+    reps = replicas(params, part, [u0, u1], 2)
+    assert_allclose(reps.permuted(1, 0).configs, [[-1.0, -1.0, 1.0]])  # system of u1, env of u0
+    assert_allclose(reps.permuted(0, 1).configs, [[1.0, 1.0, -1.0]])
+    assert reps.permuted(1, 0) is reps.permuted(1, 0)  # evaluated once
 
 
 def test_replica_terms_product_state_are_unity():
@@ -181,7 +203,8 @@ def test_replica_terms_product_state_are_unity():
     params = RbmParams(a=np.array([0.4, -0.7], dtype=complex),
                        b=np.zeros(1, dtype=complex), w=np.zeros((2, 1), dtype=complex))
     streams = [all_configs(2), all_configs(2)[::-1].copy()]
-    assert_allclose(replica_terms(params, part, streams), 1.0, atol=1e-12)
+    _, terms, _ = renyi_terms(replicas(params, part, streams, 2), 2)
+    assert_allclose(terms, 1.0, atol=1e-12)
 
 
 def test_estimate_swap_clips_above_one():

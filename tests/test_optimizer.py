@@ -11,10 +11,9 @@ from rbmqst.optimizer import (
     OptimizerConfig,
     XiSchedule,
     cost,
+    _observable_value_and_grad,
     exact_cost_and_grad,
     finite_difference_gradient,
-    grad_entropy_term,
-    grad_observable_term,
     renyi_value_and_grad,
     s2_value_and_grad,
     train,
@@ -105,7 +104,7 @@ def _obs_value(p, part, obs):
 def test_grad_observable_matches_fd(letters):
     params, part = make(2, 1, m=2, seed=3)
     obs = PauliString(letters)
-    grad = grad_observable_term(params, part, obs, exact_sum=True)
+    _, grad = _observable_value_and_grad(params, part, obs, exact_sum=True)
     fd = finite_difference_gradient(lambda p: _obs_value(p, part, obs), params, h=1e-5)
     assert_grad_close(grad, fd)
 
@@ -123,9 +122,9 @@ def test_renyi_grad_matches_fd(n):
 
 def test_s2_grad_matches_fd():
     params, part = make(2, 1, m=2, seed=11)
-    s_bits, grad = s2_value_and_grad(params, part, exact_sum=True)
+    s_bits, grad, floored = s2_value_and_grad(params, part, exact_sum=True)
     assert grad.shape == (pack_parameters(params).size,)
-    assert_allclose(grad, grad_entropy_term(params, part, exact_sum=True))
+    assert not floored
     fd = finite_difference_gradient(
         lambda p: s2_value_and_grad(p, part, exact_sum=True)[0], params, h=1e-5)
     assert_grad_close(grad, fd)
@@ -273,3 +272,68 @@ def test_entropy_never_exceeds_bound_during_exact_training():
     _, trace = train(params, cs, XiSchedule(), opt, SamplerConfig())
     bound = min(part.n_sys, part.n_env)
     assert all(r["entropy_bits"] <= bound + 1e-9 for r in trace.records)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per configuration array per epoch
+
+def count_evaluations(monkeypatch):
+    import rbmqst.estimators as estimators
+    import rbmqst.rbm as rbm
+    calls = []
+    original = rbm.evaluate
+
+    def counted(params, configs):
+        calls.append(np.shape(configs)[0])
+        return original(params, configs)
+
+    monkeypatch.setattr(rbm, "evaluate", counted)
+    monkeypatch.setattr(estimators, "evaluate", counted)
+    return calls
+
+
+MIXED = ConstraintSet(entries=(Constraint(PauliString("ZZ"), 0.2, 1.0),
+                               Constraint(PauliString("XI"), 0.1, 1.0),
+                               Constraint(PauliString("YZ"), -0.1, 1.0)))
+N_OFF_DIAGONAL = 2
+
+
+@pytest.mark.parametrize("mode,bound", [("renyi2", 4), ("renyi2_then_vne", 10)])
+def test_sampled_epoch_evaluates_each_array_once(monkeypatch, mode, bound):
+    # renyi2: 2 streams + 2 permuted arrays; vne at cutoff 4: 4 streams, 3
+    # permuted arrays shared across powers, 3 closing ones; plus one
+    # connected array per off-diagonal constraint
+    params, _ = make(2, 2, m=2, seed=3)
+    calls = count_evaluations(monkeypatch)
+    opt = OptimizerConfig(epochs=1, samples_per_epoch=128, entropy_mode=mode, vne_cutoff=4)
+    _, trace = train(params, MIXED, XiSchedule(), opt,
+                     SamplerConfig(n_samples=128, burn_in=8, n_chains=4))
+    assert trace.status == "ok"
+    assert len(calls) <= bound + N_OFF_DIAGONAL
+
+
+def test_exact_epoch_enumerates_once(monkeypatch):
+    params, part = make(2, 2, m=2, seed=3)
+    calls = count_evaluations(monkeypatch)
+    opt = OptimizerConfig(epochs=1, exact_sum=True, entropy_mode="renyi2_then_vne")
+    train(params, MIXED, XiSchedule(), opt, SamplerConfig())
+    assert sorted(calls) == [2**part.n_v] * (1 + N_OFF_DIAGONAL)
+
+
+def test_numerical_blowup_ends_training_as_diverged(monkeypatch):
+    import rbmqst.rbm as rbm
+    original = rbm._log2cosh
+    calls = []
+
+    def failing(z):
+        calls.append(1)
+        out = original(z)
+        return out * np.nan if len(calls) > 3 else out
+
+    monkeypatch.setattr(rbm, "_log2cosh", failing)
+    params, _ = make(1, 1, m=1, seed=1)
+    opt = OptimizerConfig(epochs=10, exact_sum=True, entropy_mode="renyi2")
+    _, trace = train(params, zstring_constraints([0.2]), XiSchedule(), opt, SamplerConfig())
+    assert trace.status == "diverged"
+    assert len(trace.records) == 3
+    assert "non-finite log amplitude" in trace.message

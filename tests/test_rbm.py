@@ -5,23 +5,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rbmqst.errors import DenseCapError, ValidationError
+from rbmqst.errors import DenseCapError, NumericalError, ValidationError
 from rbmqst.oracle import entropy_exact
 from rbmqst.rbm import (
     PARAM_BOUND,
     Partition,
     RbmParams,
     amplitude_matrix,
-    amplitude_ratio,
-    coord_index,
+    contract,
     coord_label,
-    d_matrix_entry,
+    evaluate,
     exact_density_matrix,
     init_params,
     load_checkpoint,
     log_amplitude,
     log_amplitudes,
-    log_derivatives,
     pack_parameters,
     save_checkpoint,
     unpack_parameters,
@@ -98,12 +96,19 @@ def test_log_amplitude_stable_at_large_parameters():
     assert_allclose(lp[0].real, 60 + 3 * (90 + np.log(2) - np.log(2)), rtol=1e-12)
 
 
-def test_amplitude_ratio_matches_log_difference():
+def test_evaluate_shares_theta_and_guards_non_finite():
     rng = np.random.default_rng(4)
     p = init_params(3, 2, rng, std=0.5)
-    c = all_configs(3)
-    r = amplitude_ratio(p, c[6], c[1])
-    assert_allclose(r, np.exp(log_amplitude(p, c[6]) - log_amplitude(p, c[1])), rtol=1e-13)
+    configs = all_configs(3)
+    batch = evaluate(p, configs)
+    assert_allclose(batch.log_psi, [log_amplitude(p, v) for v in configs], rtol=1e-14)
+    assert_allclose(batch.tanh, np.tanh(p.beta * (p.b + configs @ p.w)), rtol=1e-14)
+    with pytest.raises(ValidationError):
+        evaluate(p, np.ones((2, 4)))
+    # a blow-up inside the evaluation is a numerical failure, not bad input
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalError):
+            evaluate(p, np.full((1, 3), np.nan))
 
 
 def test_parameter_validation():
@@ -173,62 +178,37 @@ def test_pack_unpack_roundtrip():
 def test_coord_index_and_label_agree():
     rng = np.random.default_rng(6)
     p = init_params(2, 3, rng)
-    idx = coord_index(p, "w_im", 1, 2)
-    assert coord_label(p, idx) == "w_im[1,2]"
-    assert coord_label(p, coord_index(p, "a_re", 0)) == "a_re[0]"
     x = pack_parameters(p)
+    idx = 2 * (2 + 3) + 2 * 3 + 1 * 3 + 2  # w_im block, row 1, column 2
+    assert coord_label(p, idx) == "w_im[1,2]"
     assert x[idx] == p.w[1, 2].imag
+    assert coord_label(p, 0) == "a_re[0]"
+    assert coord_label(p, 2 * 2 + 3 + 1) == "b_im[1]"
+    with pytest.raises(ValidationError):
+        coord_label(p, x.size)
 
 
-def test_log_derivatives_closed_forms():
-    # F rows: beta*sigma_k, i beta*sigma_k, beta*tanh(theta_j),
-    # i beta*tanh(theta_j), beta*sigma_k tanh(theta_j) and i times it
-    rng = np.random.default_rng(8)
-    p = init_params(3, 2, rng, std=0.5)
-    configs = all_configs(3)
-    f = log_derivatives(p, configs)
-    theta = p.b[None, :] + configs @ p.w
-    t = np.tanh(p.beta * theta)
-    n_v, m = 3, 2
-    assert_allclose(f[:, :n_v], p.beta * configs, atol=1e-14)
-    assert_allclose(f[:, n_v:2 * n_v], 1j * p.beta * configs, atol=1e-14)
-    assert_allclose(f[:, 2 * n_v:2 * n_v + m], p.beta * t, atol=1e-13)
-    assert_allclose(f[:, 2 * n_v + m:2 * (n_v + m)], 1j * p.beta * t, atol=1e-13)
-    outer = configs[:, :, None] * t[:, None, :]
-    assert_allclose(f[:, 2 * (n_v + m):2 * (n_v + m) + n_v * m],
-                    p.beta * outer.reshape(len(configs), -1), atol=1e-13)
-
-
-def test_d_matrix_entry_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    p = init_params(3, 2, rng, std=0.4)
-    v1, v2 = all_configs(3)[2], all_configs(3)[5]
+@pytest.mark.parametrize("n_v,m,beta,seed", [(3, 2, 1.0, 8), (4, 3, 0.7, 9)],
+                         ids=["beta1", "beta07"])
+def test_contract_matches_finite_differences(n_v, m, beta, seed):
+    # Re sum_n c_n d log psi(v_n)/dx for every packed coordinate x; both c and
+    # i*c pin the real and the imaginary part of each derivative
+    rng = np.random.default_rng(seed)
+    p = init_params(n_v, m, rng, std=0.4, beta=beta)
+    configs = all_configs(n_v)[rng.permutation(2**n_v)[:6]]
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     x0 = pack_parameters(p)
     h = 1e-6
-
-    def log_pair(x):
-        q = unpack_parameters(x, 3, 2, p.beta)
-        return log_amplitude(q, v1) + np.conj(log_amplitude(q, v2))
-
-    for i in range(x0.size):
-        e = np.zeros_like(x0)
-        e[i] = h
-        fd = (log_pair(x0 + e) - log_pair(x0 - e)) / (2 * h)
-        assert_allclose(d_matrix_entry(p, i, v1, v2), fd, atol=5e-9)
-
-
-def test_d_matrix_entry_by_family_tuple():
-    rng = np.random.default_rng(10)
-    p = init_params(2, 2, rng, std=0.3)
-    v1, v2 = all_configs(2)[1], all_configs(2)[2]
-    # visible-bias rows have the closed forms beta(v + v') and i beta(v - v')
-    assert_allclose(d_matrix_entry(p, ("a_re", 0), v1, v2),
-                    p.beta * (v1[0] + v2[0]), atol=1e-14)
-    assert_allclose(d_matrix_entry(p, ("a_im", 0), v1, v2),
-                    1j * p.beta * (v1[0] - v2[0]), atol=1e-14)
-    idx = coord_index(p, "b_re", 1)
-    assert_allclose(d_matrix_entry(p, ("b_re", 1), v1, v2),
-                    d_matrix_entry(p, idx, v1, v2), atol=1e-15)
+    batch = evaluate(p, configs)
+    for coeff in (c, 1j * c):
+        def f(x):
+            return np.real(coeff @ log_amplitudes(unpack_parameters(x, n_v, m, beta), configs))
+        fd = np.empty(x0.size)
+        for i in range(x0.size):
+            e = np.zeros_like(x0)
+            e[i] = h
+            fd[i] = (f(x0 + e) - f(x0 - e)) / (2 * h)
+        assert_allclose(contract(p, batch, coeff), fd, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

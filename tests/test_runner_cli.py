@@ -122,6 +122,9 @@ def test_train_single_run_outputs(tmp_path):
     assert report["status"] == "ok"
     assert report["epochs_run"] == 6
     assert set(report["final_residuals"]) == set(report["sampled_residuals"])
+    assert set(report["sampled_std_errors"]) == set(report["sampled_residuals"])
+    assert all(se > 0.0 for se in report["sampled_std_errors"].values())
+    assert report["s2_std_error_sampled"] > 0.0
     assert report["s2_bits_exact"] is not None
     assert report["entropy_bound_bits"] == 1.0
     lines = (tmp_path / "trace.jsonl").read_text().splitlines()
@@ -235,6 +238,27 @@ def test_cli_train_and_eval_roundtrip(tmp_path, capsys):
                  "--target", str(out / "target.json")])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+
+
+def test_cli_trains_sampled_model_above_dense_cap(tmp_path, capsys):
+    # sampled training never enumerates the 2^16 model configurations
+    sets = ["n_sys=3", "n_env_target=2", "n_env_model=13", "m=2", "optimizer.epochs=2",
+            "optimizer.samples_per_epoch=256", "sampler.n_samples=256"]
+    argv = ["train", "--out", str(tmp_path / "run")]
+    for entry in sets:
+        argv += ["--set", entry]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["s2_bits_exact"] is None
+    assert report["final_residuals"] == report["sampled_residuals"]
+    assert all(np.isfinite(r) for r in report["sampled_residuals"].values())
+    assert all(np.isfinite(se) for se in report["sampled_std_errors"].values())
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                 "--target", str(tmp_path / "run" / "target.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+    # the exact sum still enumerates, so its cap still applies
+    assert main(argv + ["--set", "optimizer.exact_sum=true"]) == 2
 
 
 def test_cli_gradcheck_prints_pass(capsys):
