@@ -29,7 +29,7 @@ from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP, PauliString
 from .rbm import Batch, Partition, RbmParams, evaluate
 from .samplers import SampleSet, integrated_autocorr_time
-from .spins import all_configs
+from .spins import all_configs, configs_to_indices
 
 LN2 = math.log(2.0)
 
@@ -163,7 +163,14 @@ def observable_terms(params: RbmParams, partition: Partition, obs: PauliString,
     conn = None
     o_loc = coeff
     if not obs.is_diagonal:
-        conn = evaluate(params, connected)
+        if batch.exact:
+            # enumeration row k is configuration k, so v' is a row already
+            # evaluated: gather it instead of evaluating again
+            rows = configs_to_indices(connected)
+            ev = batch.ev
+            conn = Batch(configs=ev.configs[rows], tanh=ev.tanh[rows], log_psi=ev.log_psi[rows])
+        else:
+            conn = evaluate(params, connected)
         o_loc = coeff * np.exp(conn.log_psi - batch.ev.log_psi)
     return batch.estimate(o_loc.real), o_loc, conn
 

@@ -53,6 +53,7 @@ from .rbm import (
 )
 from .samplers import (
     PROPOSALS,
+    TROTTER_CAP,
     SamplerConfig,
     derive_seed,
     fit_surrogate,
@@ -96,8 +97,10 @@ class ExperimentSpec:
         check_cap(self.n_sys + self.n_env_target)
         # Sampled training never enumerates the model's configurations; the
         # exact sum and the dense Trotter proposal matrix do.
-        if self.optimizer.exact_sum or self.sampler.proposal == "SurrogateTrotter":
+        if self.optimizer.exact_sum:
             check_cap(self.n_sys + self.n_env_model)
+        if self.sampler.proposal == "SurrogateTrotter":
+            check_cap(self.n_sys + self.n_env_model, TROTTER_CAP)
 
     def to_dict(self) -> dict:
         return asdict(self)

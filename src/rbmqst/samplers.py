@@ -8,8 +8,16 @@ Proposals:
   the proposal matrix q(v'|v) = |<v'|U|v>|^2 is precomputed densely and
   the full asymmetric MH ratio is applied.
 
-Chains are vectorized: one RNG drives all chains jointly, so results are
-deterministic for a fixed config regardless of thread count.
+All chains of a call run in one vectorized loop. They form groups of
+equal size, each drawing from its own seeded generator in a fixed order, so
+a group's samples do not depend on the other groups: sample_replicas runs
+its k replica streams as one call of k groups, with one burn-in, and each
+stream equals a lone mh_sample on that stream's seed. Every chain keeps
+theta = beta*(b + W^T v), the per-unit Re log 2cosh theta and log|psi| of
+its state, so a LocalFlip step costs O(m) per chain (the look-up tables of
+Carleo & Troyer, Science 355, 602, 2017); Uniform proposals evaluate the
+whole proposed configuration, and SurrogateTrotter looks log|psi| up over
+the enumeration its proposal matrix already needs.
 """
 
 import math
@@ -19,10 +27,15 @@ import numpy as np
 
 from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP
-from .rbm import RbmParams, _log2cosh, log_amplitudes
+from .rbm import RbmParams, log_amplitudes
 from .spins import all_configs, configs_to_indices
 
 PROPOSALS = ("LocalFlip", "Uniform", "SurrogateTrotter")
+
+# The Trotter proposal's dense 2^n_v x 2^n_v complex matrices peak at about
+# 269 MB for 11 visible units and grow 4x per unit (~4.3 GB at 13), so the
+# proposal is refused above 12 before anything is allocated.
+TROTTER_CAP = 12
 
 _MASK64 = (1 << 64) - 1
 
@@ -146,12 +159,13 @@ def ising_energies(surrogate: SurrogateParams, configs: np.ndarray) -> np.ndarra
     return configs @ surrogate.l + quad
 
 
-def trotter_proposal_matrix(surrogate: SurrogateParams, cap: int = DENSE_CAP) -> np.ndarray:
+def trotter_proposal_matrix(surrogate: SurrogateParams, cap: int = TROTTER_CAP) -> np.ndarray:
     """Row-stochastic q(v'|v) = |<v'|U|v>|^2 for U = [exp(-i gamma H_sur dt)
     exp(-i (1-gamma) H_x dt)]^n_trot with dt = tau/n_trot, H_x = sum_i X_i."""
     n_v = surrogate.l.size
     if n_v > cap:
-        raise DenseCapError(f"{n_v} visible units exceeds dense cap {cap}")
+        raise DenseCapError(f"SurrogateTrotter proposal over {n_v} visible units "
+                            f"exceeds its cap {cap}")
     dt = surrogate.tau / surrogate.n_trot
     phases = np.exp(-1j * surrogate.gamma * dt * ising_energies(surrogate, all_configs(n_v)))
     phi = (1.0 - surrogate.gamma) * dt
@@ -211,115 +225,185 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _logpsi_re(params: RbmParams, configs: np.ndarray) -> np.ndarray:
-    # Raw real parts; genuine zero amplitudes show up as -inf and are handled
-    # by the acceptance step rather than raising.
-    configs = np.atleast_2d(configs)
-    theta = params.beta * (params.b + configs @ params.w)
-    with np.errstate(divide="ignore"):
-        l2c = _log2cosh(theta).real
-    return params.beta * (configs @ params.a).real + l2c.sum(axis=1)
+def _re_log2cosh(theta: np.ndarray) -> np.ndarray:
+    # Re log 2cosh(x + iy) in real arithmetic: with r = exp(-2|x|),
+    # |2cosh theta|^2 = exp(2|x|) (1 + r^2 + 2r cos 2y). Zeros of cosh give
+    # -inf, which the acceptance step rejects rather than raising.
+    ax = np.abs(theta.real)
+    r = np.exp(-2.0 * ax)
+    return ax + 0.5 * np.log1p(r * (r + 2.0 * np.cos(2.0 * theta.imag)))
+
+
+def _chain_state(params: RbmParams, spins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, the per-unit Re log 2cosh theta and log|psi| of rows of spins."""
+    theta = params.beta * (params.b + spins @ params.w)
+    ell = _re_log2cosh(theta)
+    return theta, ell, params.beta * (spins @ params.a.real) + ell.sum(axis=1)
+
+
+def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
+               q: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Metropolis-Hastings loop over config.n_chains chains in
+    len(seeds) equal groups; group r draws from default_rng(seeds[r]) in the
+    order of a lone group (start, retries, then per step the proposal draws
+    and the acceptance draw), so a group's chains do not depend on the
+    others. Returns the kept spins (n_chains, chain_len, n_v), their
+    log|psi| and each chain's accepted moves after burn-in."""
+    n_v, beta = params.n_v, params.beta
+    rngs = [np.random.default_rng(s) for s in seeds]
+    group = config.n_chains // len(seeds)
+    chain_len = math.ceil(config.n_samples / config.n_chains)
+    proposal = config.proposal
+
+    def draw(rng, count):
+        return 1.0 - 2.0 * rng.integers(0, 2, size=(count, n_v)).astype(float)
+
+    if q is None:
+        def state(spins):
+            return (spins, *_chain_state(params, spins))
+    else:
+        # the proposal matrix already enumerates every configuration, so
+        # log|psi| is looked up by basis index instead of evaluated per step
+        configs_table = all_configs(n_v)
+        lp_table = _chain_state(params, configs_table)[2]
+        q_cum = np.cumsum(q, axis=1)
+
+        def state(spins):
+            idx = configs_to_indices(spins)
+            return spins, idx, lp_table[idx]
+
+    def start(rng):
+        spins = draw(rng, group)
+        for _ in range(100):
+            current = state(spins)
+            bad = ~np.isfinite(current[-1])
+            if not bad.any():
+                return current
+            spins[bad] = draw(rng, int(bad.sum()))
+        raise EstimationError("could not find a start configuration with nonzero amplitude")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spins, *extra, lp = (np.concatenate(part) for part in zip(*map(start, rngs)))
+        rows = np.arange(config.n_chains)
+        if proposal == "LocalFlip":
+            theta, ell = extra
+            w2 = 2.0 * beta * params.w
+            a2 = 2.0 * beta * params.a.real
+        elif proposal == "SurrogateTrotter":
+            (idx,) = extra
+
+        def step():
+            if proposal == "LocalFlip":
+                sites = np.concatenate([rng.integers(0, n_v, size=group) for rng in rngs])
+                s = spins[rows, sites]
+                theta_p = theta - s[:, None] * w2[sites]
+                ell_p = _re_log2cosh(theta_p)
+                delta = (ell_p - ell).sum(axis=1) - s * a2[sites]
+                log_alpha = 2.0 * delta
+            elif proposal == "Uniform":
+                # evaluated per group: a matmul's rounding can depend on its
+                # row count, and a group must not depend on the others
+                props = [draw(rng, group) for rng in rngs]
+                prop = np.concatenate(props)
+                lp_p = np.concatenate([_chain_state(params, x)[2] for x in props])
+                log_alpha = 2.0 * (lp_p - lp)
+            else:
+                u = np.concatenate([rng.random(group) for rng in rngs])
+                prop_idx = np.minimum((q_cum[idx] <= u[:, None]).sum(axis=1), 2**n_v - 1)
+                lp_p = lp_table[prop_idx]
+                log_alpha = (2.0 * (lp_p - lp) + np.log(q[prop_idx, idx])
+                             - np.log(q[idx, prop_idx]))
+            # start states are finite and a -inf or NaN proposal is never
+            # accepted, so log|psi| stays finite along every chain
+            accept = np.log(np.concatenate([rng.random(group) for rng in rngs])) < log_alpha
+            if proposal == "LocalFlip":
+                spins[rows[accept], sites[accept]] *= -1.0
+                np.copyto(theta, theta_p, where=accept[:, None])
+                np.copyto(ell, ell_p, where=accept[:, None])
+                np.add(lp, delta, out=lp, where=accept)
+            elif proposal == "Uniform":
+                np.copyto(spins, prop, where=accept[:, None])
+                np.copyto(lp, lp_p, where=accept)
+            else:
+                np.copyto(idx, prop_idx, where=accept)
+                np.copyto(lp, lp_p, where=accept)
+            return accept
+
+        for _ in range(config.burn_in):
+            step()
+        kept = np.empty((config.n_chains, chain_len, n_v))
+        kept_lp = np.empty((config.n_chains, chain_len))
+        accepted = np.zeros(config.n_chains, dtype=np.int64)
+        for k in range(chain_len):
+            for _ in range(config.thinning):
+                accepted += step()
+            kept[:, k] = spins if q is None else configs_table[idx]
+            kept_lp[:, k] = lp
+    return kept, kept_lp, accepted
 
 
 def mh_sample(params: RbmParams, config: SamplerConfig,
-              surrogate: SurrogateParams | None = None) -> SampleSet:
+              surrogate: SurrogateParams | None = None, *,
+              seeds=None) -> SampleSet:
     """Metropolis-Hastings chains targeting |psi|^2.
 
-    Returns a SampleSet whose diagnostics record the proposal kind,
-    acceptance rate, integrated autocorrelation time of the kept
-    log|psi|^2 series, sample count, and seed.
+    With seeds = None the config.n_chains chains draw from config.seed, and
+    the diagnostics record the proposal kind, acceptance rate, integrated
+    autocorrelation time of the kept log|psi|^2 series, sample count and
+    seed. With seeds = (s_0, .., s_{g-1}) the chains form g equal groups,
+    group r sampling exactly as a lone call on seed s_r with
+    n_chains / g chains would; the diagnostics then give the overall
+    acceptance rate and sample count plus, under "streams", each group's
+    own diagnostics.
     """
     if (config.proposal == "SurrogateTrotter") != (surrogate is not None):
         raise ValidationError("surrogate must be given exactly when proposal is SurrogateTrotter")
+    lone = seeds is None
+    seeds = (config.seed,) if lone else tuple(seeds)
+    if not seeds or config.n_chains % len(seeds):
+        raise ValidationError("n_chains must split into one equal group per seed")
     n_v = params.n_v
-    rng = np.random.default_rng(config.seed)
-    n_chains = config.n_chains
-    chain_len = math.ceil(config.n_samples / n_chains)
-
-    q = q_cum = configs_table = idx = None
+    q = None
     if surrogate is not None:
         if surrogate.l.size != n_v:
             raise ValidationError("surrogate size does not match n_v")
         q = trotter_proposal_matrix(surrogate)
-        q_cum = np.cumsum(q, axis=1)
-        configs_table = all_configs(n_v)
 
-    cur = 1.0 - 2.0 * rng.integers(0, 2, size=(n_chains, n_v)).astype(float)
-    cur_lp = _logpsi_re(params, cur)
-    for _ in range(100):
-        bad = ~np.isfinite(cur_lp)
-        if not bad.any():
-            break
-        cur[bad] = 1.0 - 2.0 * rng.integers(0, 2, size=(int(bad.sum()), n_v)).astype(float)
-        cur_lp = _logpsi_re(params, cur)
-    else:
-        raise EstimationError("could not find a start configuration with nonzero amplitude")
-    if surrogate is not None:
-        idx = configs_to_indices(cur)
-
-    kept = np.empty((n_chains, chain_len, n_v))
-    kept_lp = np.empty((n_chains, chain_len))
-    accepted = 0
-    proposed = 0
-
-    def do_step():
-        nonlocal cur, cur_lp, idx, accepted, proposed
-        if config.proposal == "LocalFlip":
-            site = rng.integers(0, n_v, size=n_chains)
-            prop = cur.copy()
-            prop[np.arange(n_chains), site] *= -1.0
-            log_q_corr = 0.0
-        elif config.proposal == "Uniform":
-            prop = 1.0 - 2.0 * rng.integers(0, 2, size=(n_chains, n_v)).astype(float)
-            log_q_corr = 0.0
-        else:
-            u = rng.random(n_chains)
-            prop_idx = np.minimum((q_cum[idx] <= u[:, None]).sum(axis=1), 2**n_v - 1)
-            prop = configs_table[prop_idx]
-            with np.errstate(divide="ignore"):
-                log_q_corr = np.log(q[prop_idx, idx]) - np.log(q[idx, prop_idx])
-        prop_lp = _logpsi_re(params, prop)
-        with np.errstate(invalid="ignore"):
-            log_alpha = 2.0 * (prop_lp - cur_lp) + log_q_corr
-        # escaping a zero-amplitude state is always accepted
-        log_alpha = np.where(np.isneginf(cur_lp) & np.isfinite(prop_lp), np.inf, log_alpha)
-        accept = np.log(rng.random(n_chains)) < log_alpha
-        cur = np.where(accept[:, None], prop, cur)
-        cur_lp = np.where(accept, prop_lp, cur_lp)
-        if surrogate is not None:
-            idx = np.where(accept, prop_idx, idx)
-        accepted += int(accept.sum())
-        proposed += n_chains
-
-    for _ in range(config.burn_in):
-        do_step()
-    accepted = proposed = 0
-    for k in range(chain_len):
-        for _ in range(config.thinning):
-            do_step()
-        kept[:, k, :] = cur
-        kept_lp[:, k] = cur_lp
-
-    diagnostics = {
+    kept, kept_lp, accepted = _mh_chains(params, config, seeds, q)
+    group = config.n_chains // len(seeds)
+    chain_len = kept.shape[1]
+    moves = group * chain_len * config.thinning
+    streams = [{
         "proposal": config.proposal,
-        "acceptance_rate": accepted / max(proposed, 1),
-        "autocorr_time": integrated_autocorr_time(2.0 * kept_lp),
-        "tv_distance_if_exact_available": None,
-        "n_samples": n_chains * chain_len,
-        "seed": config.seed,
+        "acceptance_rate": int(accepted[r * group:(r + 1) * group].sum()) / moves,
+        "autocorr_time": integrated_autocorr_time(2.0 * kept_lp[r * group:(r + 1) * group]),
+        "n_samples": group * chain_len,
+        "seed": seed,
+    } for r, seed in enumerate(seeds)]
+    diagnostics = streams[0] if lone else {
+        "proposal": config.proposal,
+        "acceptance_rate": int(accepted.sum()) / (moves * len(seeds)),
+        "n_samples": config.n_chains * chain_len,
+        "streams": streams,
     }
-    return SampleSet(spins=kept.reshape(-1, n_v), n_chains=n_chains,
+    return SampleSet(spins=kept.reshape(-1, n_v), n_chains=config.n_chains,
                      chain_len=chain_len, diagnostics=diagnostics)
 
 
 def sample_replicas(params: RbmParams, config: SamplerConfig, k: int,
                     surrogate: SurrogateParams | None = None) -> list[SampleSet]:
-    """k independent equally long sample streams; replica r runs on seed
-    derive_seed(config.seed, r)."""
+    """k independent equally long sample streams from one joint
+    Metropolis-Hastings run of k * n_chains chains; replica r samples as
+    mh_sample on seed derive_seed(config.seed, r) would."""
     if k < 2:
         raise ValidationError("replica count must be >= 2")
-    return [mh_sample(params, replace(config, seed=derive_seed(config.seed, r)), surrogate)
-            for r in range(k)]
+    joint = mh_sample(params, replace(config, n_samples=k * config.n_samples,
+                                      n_chains=k * config.n_chains),
+                      surrogate, seeds=[derive_seed(config.seed, r) for r in range(k)])
+    rows = joint.n_samples // k
+    return [SampleSet(spins=joint.spins[r * rows:(r + 1) * rows], n_chains=config.n_chains,
+                      chain_len=joint.chain_len, diagnostics=diag)
+            for r, diag in enumerate(joint.diagnostics["streams"])]
 
 
 def transition_matrix(params: RbmParams, proposal: str,

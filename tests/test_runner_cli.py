@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbmqst.cli import load_spec, main
-from rbmqst.errors import NumericalError, ValidationError
+from rbmqst.errors import DenseCapError, NumericalError, ValidationError
 from rbmqst.optimizer import OptimizerConfig, XiSchedule
 from rbmqst.runner import (
     OUTPUT_ROOT_ENV,
@@ -18,7 +18,7 @@ from rbmqst.runner import (
     load_target,
     resolve_outdir,
 )
-from rbmqst.samplers import SamplerConfig
+from rbmqst.samplers import TROTTER_CAP, SamplerConfig
 
 
 def small_spec(**kwargs):
@@ -54,6 +54,16 @@ def test_spec_validation():
         ExperimentSpec(n_sys=10, n_env_target=10)  # above dense cap
     with pytest.raises(ValidationError):
         ExperimentSpec.from_dict({"no_such_field": 1})
+
+
+def test_spec_refuses_trotter_above_its_cap(capsys):
+    trotter = SamplerConfig(proposal="SurrogateTrotter")
+    ExperimentSpec(n_sys=6, n_env_model=TROTTER_CAP - 6, sampler=trotter)
+    with pytest.raises(DenseCapError):
+        ExperimentSpec(n_sys=6, n_env_model=TROTTER_CAP - 5, sampler=trotter)
+    assert main(["train", "--set", "n_sys=6", "--set", f"n_env_model={TROTTER_CAP - 5}",
+                 "--set", "sampler.proposal=SurrogateTrotter"]) == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_resolve_outdir(tmp_path, monkeypatch):

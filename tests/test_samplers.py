@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rbmqst.errors import ValidationError
-from rbmqst.rbm import init_params, zero_params
+import rbmqst.samplers as samplers
+from rbmqst.errors import DenseCapError, ValidationError
+from rbmqst.rbm import _log2cosh, evaluate, init_params, zero_params
 from rbmqst.samplers import (
     PROPOSALS,
+    TROTTER_CAP,
     SamplerConfig,
     SurrogateParams,
     derive_seed,
@@ -95,6 +97,19 @@ def test_trotter_proposal_matrix_stochastic():
     assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_trotter_cap_refuses_before_allocating(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("enumerated configurations above the Trotter cap")
+
+    monkeypatch.setattr(samplers, "all_configs", no_enumeration)
+    n_v = TROTTER_CAP + 1
+    sur = SurrogateParams(l=np.zeros(n_v), j=np.zeros((n_v, n_v)))
+    with pytest.raises(DenseCapError):
+        trotter_proposal_matrix(sur)
+    with pytest.raises(DenseCapError):
+        mh_sample(zero_params(n_v, 1), SamplerConfig(proposal="SurrogateTrotter"), sur)
+
+
 def test_trotter_gamma_zero_is_pure_mixer():
     # gamma = 0 leaves only transverse rotations: no dependence on the fields
     s1 = SurrogateParams(l=np.array([5.0, -3.0]), j=np.zeros((2, 2)), gamma=0.0)
@@ -154,7 +169,7 @@ def test_mh_sample_shapes_and_diagnostics():
     assert s.spins.shape == (s.n_chains * s.chain_len, 4)
     assert s.n_samples >= 100
     assert set(s.diagnostics) == {"proposal", "acceptance_rate", "autocorr_time",
-                                  "tv_distance_if_exact_available", "n_samples", "seed"}
+                                  "n_samples", "seed"}
     assert 0.0 <= s.diagnostics["acceptance_rate"] <= 1.0
     assert s.diagnostics["seed"] == 1
     assert np.all(np.abs(s.spins) == 1.0)
@@ -211,6 +226,58 @@ def test_sample_replicas_independent_streams():
     assert not np.array_equal(streams[0].spins, streams[1].spins)
     again = sample_replicas(p, cfg, 3)
     assert_allclose(streams[2].spins, again[2].spins)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("proposal", PROPOSALS)
+def test_sample_replicas_equal_lone_streams(proposal, k):
+    # one joint run of k chain groups gives each replica exactly the samples
+    # and diagnostics of a lone run on that replica's seed
+    p = make_params(n_v=5, m=3, seed=6, std=0.4)
+    sur = fit_surrogate(p, all_configs(5)) if proposal == "SurrogateTrotter" else None
+    cfg = SamplerConfig(n_samples=64, burn_in=30, thinning=2, n_chains=4, seed=9,
+                        proposal=proposal)
+    streams = sample_replicas(p, cfg, k, sur)
+    assert len(streams) == k
+    for r, stream in enumerate(streams):
+        lone = mh_sample(p, replace(cfg, seed=derive_seed(cfg.seed, r)), sur)
+        assert np.array_equal(stream.spins, lone.spins)
+        assert (stream.n_chains, stream.chain_len) == (lone.n_chains, lone.chain_len)
+        assert stream.diagnostics == lone.diagnostics
+
+
+def test_sample_replicas_builds_trotter_matrix_once(monkeypatch):
+    calls = []
+    original = samplers.trotter_proposal_matrix
+
+    def counted(surrogate):
+        calls.append(1)
+        return original(surrogate)
+
+    monkeypatch.setattr(samplers, "trotter_proposal_matrix", counted)
+    p = make_params()
+    sur = fit_surrogate(p, all_configs(4))
+    sample_replicas(p, SamplerConfig(n_samples=32, burn_in=4, n_chains=4,
+                                     proposal="SurrogateTrotter"), 4, sur)
+    assert len(calls) == 1
+
+
+def test_re_log2cosh_matches_complex_form():
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-600.0, 600.0, 4000) + 1j * rng.uniform(-10.0, 10.0, 4000)
+    z = np.concatenate([z, rng.normal(size=1000) + 1j * rng.normal(size=1000)])
+    assert_allclose(samplers._re_log2cosh(z), _log2cosh(z).real, rtol=0, atol=1e-12)
+    # cosh vanishes at i pi/2: the real form gives the exact -inf
+    with np.errstate(divide="ignore"):
+        assert samplers._re_log2cosh(np.array([0.5j * np.pi]))[0] == -np.inf
+
+
+def test_local_flip_tracked_log_psi_does_not_drift():
+    p = init_params(20, 20, np.random.default_rng(4), std=0.3)
+    cfg = SamplerConfig(n_samples=16 * 1000, burn_in=4000, n_chains=16, seed=2)  # 5,000 steps
+    kept, kept_lp, accepted = samplers._mh_chains(p, cfg, (cfg.seed,), None)
+    assert accepted.sum() > 0
+    assert_allclose(kept_lp[:, -1], evaluate(p, kept[:, -1]).log_psi.real, rtol=0, atol=1e-9)
 
 
 def test_sample_replicas_validation():
