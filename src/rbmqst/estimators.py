@@ -17,6 +17,12 @@ so O_loc(v) = <v|P|v'> * psi(v')/psi(v).
 Entropies use the replica trick: Tr rho_A^n is the mean over n independent
 sample streams of prod_k psi(w_k)/psi(u_k), where w_k carries the A-region
 (system) spins of stream k+1 (cyclic) and the environment spins of stream k.
+
+This module is the one place that knows the estimator formulas. Beside a
+value, observable_terms, renyi_terms and entropy_terms return (batch, c)
+pairs: with F(v) = d log psi / d x, the gradient of the value is the sum
+over pairs of Re sum_n c_n F(v_n) (rbm.contract). A caller that scales and
+merges the pairs of every term contracts each evaluated array once.
 """
 
 import math
@@ -120,9 +126,7 @@ def _exact_batch(params: RbmParams, partition: Partition, cap: int = DENSE_CAP) 
 
 def weighted_batch(params: RbmParams, partition: Partition, samples=None,
                    exact_sum: bool = False, cap: int = DENSE_CAP) -> WeightedBatch:
-    """The batch an estimate averages over; a WeightedBatch passes through."""
-    if isinstance(samples, WeightedBatch):
-        return samples
+    """The batch an estimate averages over."""
     if exact_sum:
         return _exact_batch(params, partition, cap)
     if samples is None:
@@ -132,13 +136,6 @@ def weighted_batch(params: RbmParams, partition: Partition, samples=None,
 
 # ---------------------------------------------------------------------------
 # observables
-
-def _check_obs(partition: Partition, obs: PauliString) -> None:
-    if obs.n_qubits != partition.n_sys:
-        raise ValidationError(
-            "observable must act on exactly the system qubits "
-            f"(got {obs.n_qubits} letters for n_sys={partition.n_sys})")
-
 
 def pauli_action(obs: PauliString, partition: Partition,
                  configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,33 +152,43 @@ def pauli_action(obs: PauliString, partition: Partition,
 
 
 def observable_terms(params: RbmParams, partition: Partition, obs: PauliString,
-                     batch: WeightedBatch) -> tuple[EstimateResult, np.ndarray, Batch | None]:
+                     batch: WeightedBatch) -> tuple[float, np.ndarray, list]:
     """<O> over a weighted batch, the local estimators
-    O_loc(v) = <v|O|v'> psi(v')/psi(v), and the evaluated connected
-    configurations v' (None for a diagonal O, whose v' = v)."""
-    coeff, connected = pauli_action(obs, partition, batch.ev.configs)
-    conn = None
-    o_loc = coeff
-    if not obs.is_diagonal:
-        if batch.exact:
-            # enumeration row k is configuration k, so v' is a row already
-            # evaluated: gather it instead of evaluating again
-            rows = configs_to_indices(connected)
-            ev = batch.ev
-            conn = Batch(configs=ev.configs[rows], tanh=ev.tanh[rows], log_psi=ev.log_psi[rows])
-        else:
-            conn = evaluate(params, connected)
-        o_loc = coeff * np.exp(conn.log_psi - batch.ev.log_psi)
-    return batch.estimate(o_loc.real), o_loc, conn
+    O_loc(v) = <v|O|v'> psi(v')/psi(v), and the gradient pairs of <O>:
+
+        d<O> = Re sum w (F(v)* + F(v')) O_loc(v)  -  <O> sum w 2 Re F(v)
+
+    with v' the Pauli-connected partner of v. In exact mode enumeration row
+    k is configuration k and the Pauli flip is an involution on the rows, so
+    v' is a row already evaluated and its pair is re-indexed onto the
+    enumeration instead of evaluated again.
+    """
+    if obs.n_qubits != partition.n_sys:
+        raise ValidationError(
+            "observable must act on exactly the system qubits "
+            f"(got {obs.n_qubits} letters for n_sys={partition.n_sys})")
+    ev, w = batch.ev, batch.weights
+    coeff, connected = pauli_action(obs, partition, ev.configs)
+    if obs.is_diagonal:
+        conn, rows, o_loc = ev, None, coeff
+    elif batch.exact:
+        conn, rows = ev, configs_to_indices(connected)
+        o_loc = coeff * np.exp(ev.log_psi[rows] - ev.log_psi)
+    else:
+        conn, rows = evaluate(params, connected), None
+        o_loc = coeff * np.exp(conn.log_psi - ev.log_psi)
+    value = float(w @ o_loc.real)
+    wo = w * o_loc
+    return value, o_loc, [(ev, np.conj(wo) - 2.0 * value * w),
+                          (conn, wo if rows is None else wo[rows])]
 
 
 def estimate_observable(params: RbmParams, partition: Partition, obs: PauliString,
                         samples=None, exact_sum: bool = False,
                         cap: int = DENSE_CAP) -> EstimateResult:
     """<O> as the |psi|^2-weighted mean of the local estimator."""
-    _check_obs(partition, obs)
     batch = weighted_batch(params, partition, samples, exact_sum, cap)
-    return observable_terms(params, partition, obs, batch)[0]
+    return batch.estimate(observable_terms(params, partition, obs, batch)[1].real)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +220,11 @@ class Replicas:
 
 def replicas(params: RbmParams, partition: Partition, replica_samples, n: int,
              exact_sum: bool = False) -> Replicas:
-    """Evaluate n replica streams (or the enumeration); Replicas pass through."""
+    """Evaluate n replica streams (or the enumeration)."""
     if n < 2:
         raise ValidationError("replica order must be >= 2")
     if partition.n_v != params.n_v:
         raise ValidationError("partition does not match parameter shape")
-    if isinstance(replica_samples, Replicas):
-        if not replica_samples.exact and len(replica_samples.streams) < n:
-            raise ValidationError(f"need at least {n} replica streams")
-        return replica_samples
     if exact_sum:
         return Replicas(params, partition, [_exact_batch(params, partition)])
     if replica_samples is None or len(replica_samples) != n:
@@ -349,6 +352,33 @@ def vne_from_powers(tr_powers, n_c: int) -> float:
     if np.any(arr <= 0.0) or np.any(arr > 1.0):
         raise ValidationError("trace powers must lie in (0, 1]")
     return vne_bits_from_raw_powers(arr, n_c)
+
+
+def entropy_terms(reps: Replicas, n_c: int | None) -> tuple[float, list, bool]:
+    """Entropy in bits, its gradient pairs and whether the S2 floor bound.
+
+    n_c = None gives S2 = -log2 Tr rho_A^2, with d S2 = -d Tr rho_A^2 /
+    (Tr rho_A^2 ln 2). No model state has Tr rho_A^2 below
+    2^-min(n_sys, n_env), so exact values never reach the floor; a sampled
+    estimate under half that bound is estimator noise and is floored to keep
+    the log finite. Otherwise the polynomial von Neumann entropy at cutoff
+    n_c, from trace powers 2..n_c (sampled mode reuses the first m of the n_c
+    streams for power m); noisy power estimates are fed to the polynomial
+    unvalidated.
+    """
+    if n_c is None:
+        swap, _, pairs = renyi_terms(reps, 2)
+        floor = 0.5 * 2.0 ** (-min(reps.partition.n_sys, reps.partition.n_env))
+        floored = swap < floor
+        swap = max(swap, floor)
+        return -math.log2(swap), [(b, c / (-swap * LN2)) for b, c in pairs], floored
+    alpha = vne_coefficients(n_c)
+    powers = np.empty(n_c - 1)
+    pairs = []
+    for m in range(2, n_c + 1):
+        powers[m - 2], _, pairs_m = renyi_terms(reps, m)
+        pairs += [(b, -alpha[m - 1] / LN2 * c) for b, c in pairs_m]
+    return vne_bits_from_raw_powers(powers, n_c), pairs, False
 
 
 def required_samples(variance: float, epsilon: float) -> int:

@@ -2,22 +2,15 @@
 
 Cost: C = -S(rho) + sum_i xi_i * (<O_i> - target_i)^2, entropy in bits.
 
-Analytic gradients are contractions (rbm.contract): with F(v) = d log psi / d x,
-each gradient is Re sum_n c_n F(v_n) over an evaluated batch for a
-coefficient vector c, and no per-configuration table of F is built. Over a
-weighted batch (weights 1/N for samples v ~ |psi|^2, normalized |psi|^2 for
-the exact enumeration):
-
-  d<O>     = Re sum w (F(v)* + F(v')) O_loc(v)  -  <O> sum w 2 Re F(v)
-  d Tr r^n = see estimators.renyi_terms (replica tuples when sampled, the
-             amplitude-matrix form when exact)
-  d S2     = -d<SWAP> / (<SWAP> ln 2)        (bits)
-
-where v' is the Pauli-connected partner. So sampled and exact_sum modes
-run the same code, and a training epoch evaluates each configuration array
+The estimator formulas live in estimators (observable_terms, renyi_terms,
+entropy_terms): each returns its value and the (batch, coefficient) pairs
+whose contractions (rbm.contract) sum to its gradient. Here the pairs are
+scaled (-1 for the entropy, 2 xi_i r_i for constraint i) and each distinct
+evaluated array is contracted once, so sampled and exact_sum modes run the
+same code and an epoch evaluates and contracts each configuration array
 once: the replica streams (stream 0 doubles as the observable batch), the
 permuted replica arrays and the connected arrays of off-diagonal
-observables.
+observables. An exact epoch is one enumeration and one contraction.
 
 All of it is verified against central finite differences of the exact
 cost (finite_difference_gradient).
@@ -29,19 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import (
-    EstimateResult,
-    LN2,
-    Replicas,
-    _check_obs,
-    observable_terms,
-    renyi_terms,
-    replicas,
-    vne_bits_from_raw_powers,
-    vne_coefficients,
-    weighted_batch,
-)
-from .oracle import DENSE_CAP, PauliString
+from .estimators import Replicas, entropy_terms, observable_terms, replicas
+from .oracle import PauliString
 from .rbm import (
     PARAM_BOUND,
     Partition,
@@ -148,73 +130,12 @@ def cost(entropy_bits: float, residuals, xis) -> float:
     return float(-entropy_bits + xis @ residuals**2)
 
 
-# ---------------------------------------------------------------------------
-# observable gradient
-
-def _observable_value_and_grad(params: RbmParams, partition: Partition, obs: PauliString,
-                               samples=None, exact_sum: bool = False,
-                               cap: int = DENSE_CAP) -> tuple[EstimateResult, np.ndarray]:
-    """<O> and its gradient from one local-estimator evaluation."""
-    _check_obs(partition, obs)
-    batch = weighted_batch(params, partition, samples, exact_sum, cap)
-    est, o_loc, conn = observable_terms(params, partition, obs, batch)
-    wo = batch.weights * o_loc
-    c = np.conj(wo) - 2.0 * est.value * batch.weights
-    if conn is None:
-        return est, contract(params, batch.ev, c + wo)
-    return est, contract(params, batch.ev, c) + contract(params, conn, wo)
-
-
-# ---------------------------------------------------------------------------
-# replica entropy gradients
-
 def _contract_pairs(params: RbmParams, pairs) -> np.ndarray:
     """Sum of contractions, one per distinct batch (coefficients merged)."""
     merged = {}
     for batch, c in pairs:
-        key = id(batch)
-        merged[key] = (batch, merged[key][1] + c) if key in merged else (batch, c)
-    return sum(contract(params, batch, c) for batch, c in merged.values())
-
-
-def renyi_value_and_grad(params: RbmParams, partition: Partition, n: int,
-                         replica_samples=None, exact_sum: bool = False
-                         ) -> tuple[float, np.ndarray]:
-    """(Tr rho_A^n, its gradient). Sampled mode uses the first n streams."""
-    value, _, pairs = renyi_terms(replicas(params, partition, replica_samples, n, exact_sum), n)
-    return value, _contract_pairs(params, pairs)
-
-
-def s2_value_and_grad(params: RbmParams, partition: Partition,
-                      replica_samples=None, exact_sum: bool = False
-                      ) -> tuple[float, np.ndarray, bool]:
-    """S2 = -log2 Tr rho_A^2 in bits, its gradient, and whether the floor bound.
-
-    No model state has Tr rho_A^2 below 2^-min(n_sys, n_env), so exact
-    values never reach the floor; a sampled estimate under half that bound
-    is estimator noise and is floored to keep the log finite.
-    """
-    swap, grad_swap = renyi_value_and_grad(params, partition, 2, replica_samples, exact_sum)
-    floor = 0.5 * 2.0 ** (-min(partition.n_sys, partition.n_env))
-    floored = swap < floor
-    swap = max(swap, floor)
-    return -math.log2(swap), -grad_swap / (swap * LN2), floored
-
-
-def vne_value_and_grad(params: RbmParams, partition: Partition, n_c: int,
-                       replica_samples=None, exact_sum: bool = False
-                       ) -> tuple[float, np.ndarray]:
-    """Polynomial von Neumann entropy (bits) and gradient from trace powers
-    2..n_c. Sampled mode reuses the first m of the n_c replica streams for
-    power m; noisy power estimates are fed to the polynomial unvalidated."""
-    alpha = vne_coefficients(n_c)
-    reps = replicas(params, partition, replica_samples, n_c, exact_sum)
-    powers = np.empty(n_c - 1)
-    pairs = []
-    for m in range(2, n_c + 1):
-        powers[m - 2], _, pairs_m = renyi_terms(reps, m)
-        pairs += [(batch, -alpha[m - 1] / LN2 * c) for batch, c in pairs_m]
-    return vne_bits_from_raw_powers(powers, n_c), _contract_pairs(params, pairs)
+        merged[batch] = merged[batch] + c if batch in merged else c
+    return sum(contract(params, batch, c) for batch, c in merged.items())
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +174,15 @@ def _penalty_terms(params: RbmParams, partition: Partition, constraints: Constra
     """Entropy in bits (S2, or the polynomial von Neumann entropy at cutoff
     n_c), residuals, grad C and whether the S2 floor bound, all from one
     evaluated set of replicas whose stream 0 is the observable batch."""
-    floored = False
-    if n_c is None:
-        s_bits, grad_s, floored = s2_value_and_grad(params, partition, reps)
-    else:
-        s_bits, grad_s = vne_value_and_grad(params, partition, n_c, reps)
+    s_bits, entropy_pairs, floored = entropy_terms(reps, n_c)
+    pairs = [(batch, -c) for batch, c in entropy_pairs]
     residuals = np.empty(len(constraints))
-    grad = -grad_s
-    for i, c in enumerate(constraints):
-        est, g = _observable_value_and_grad(params, partition, c.obs, reps.streams[0])
-        residuals[i] = est.value - c.target
-        grad = grad + 2.0 * xis[i] * residuals[i] * g
-    return s_bits, residuals, grad, floored
+    for i, con in enumerate(constraints):
+        value, _, obs_pairs = observable_terms(params, partition, con.obs, reps.streams[0])
+        residuals[i] = value - con.target
+        scale = 2.0 * xis[i] * residuals[i]
+        pairs += [(batch, scale * c) for batch, c in obs_pairs]
+    return s_bits, residuals, _contract_pairs(params, pairs), floored
 
 
 def exact_cost_and_grad(params: RbmParams, partition: Partition,

@@ -103,12 +103,15 @@ def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
 # ---------------------------------------------------------------------------
 # amplitudes
 
-def _log2cosh(z: np.ndarray) -> np.ndarray:
-    # log(2 cosh z) = s*z + log(1 + exp(-2 s z)) with s = sign(Re z),
-    # keeping the exponent's real part <= 0 so exp never overflows.
+def _log2cosh_tanh(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # With s = sign(Re z) and e = exp(-2 s z), whose exponent's real part is
+    # <= 0 so exp never overflows: log(2 cosh z) = s*z + log(1 + e) and
+    # tanh z = s (1 - e) / (1 + e), one complex exp for both.
     z = np.asarray(z, dtype=complex)
     s = np.where(z.real >= 0, 1.0, -1.0)
-    return s * z + np.log(1.0 + np.exp(-2.0 * s * z))
+    e = np.exp(-2.0 * s * z)
+    d = 1.0 + e
+    return s * z + np.log(d), s * (1.0 - e) / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +129,11 @@ def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
     if configs.shape[1] != params.n_v:
         raise ValidationError("configuration length does not match n_v")
     theta = params.beta * (params.b + configs @ params.w)
-    log_psi = params.beta * (configs @ params.a) + _log2cosh(theta).sum(axis=1)
+    log2cosh, tanh = _log2cosh_tanh(theta)
+    log_psi = params.beta * (configs @ params.a) + log2cosh.sum(axis=1)
     if not np.all(np.isfinite(log_psi)):
         raise NumericalError("non-finite log amplitude")
-    return Batch(configs=configs, tanh=np.tanh(theta), log_psi=log_psi)
+    return Batch(configs=configs, tanh=tanh, log_psi=log_psi)
 
 
 def log_amplitudes(params: RbmParams, configs: np.ndarray) -> np.ndarray:

@@ -143,8 +143,9 @@ def _write_curves(path: Path, rows: list[tuple]) -> None:
 
 
 def _trace_rows(records: list[dict]) -> list[tuple]:
+    # residuals summed in key order, the order trace.jsonl stores them in
     return [(r["epoch"], r["cost"], r["entropy_bits"],
-             sum(abs(v) for v in r["residuals"].values())) for r in records]
+             sum(abs(r["residuals"][k]) for k in sorted(r["residuals"]))) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,9 @@ def _sampled_eval(params: RbmParams, partition: Partition, constraints: Constrai
 
 
 def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
-            trace, wall_per_epoch: float, sampler: SamplerConfig) -> dict:
-    eval_cfg = replace(sampler, seed=derive_seed(sampler.seed, 0xE7A1),
+            trace, wall_per_epoch: float, sampler: SamplerConfig, seed: int) -> dict:
+    """Final evaluation of a run; its samples derive from the run's seed."""
+    eval_cfg = replace(sampler, seed=derive_seed(seed, 0xE7A1),
                        n_samples=max(sampler.n_samples, 4096))
     sampled, std_errors, s2_sampled, s2_se = _sampled_eval(params, partition, constraints,
                                                            eval_cfg)
@@ -245,7 +247,9 @@ def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
     }
 
 
-def _single_run(spec: ExperimentSpec, target_doc: dict, run_dir: Path, seed: int) -> dict:
+def _single_run(spec: ExperimentSpec, target_doc: dict, run_dir: Path,
+                seed: int) -> tuple[dict, list[tuple]]:
+    """Train one seed into run_dir; returns its report and curve rows."""
     run_dir.mkdir(parents=True, exist_ok=True)
     constraints = build_constraints(target_doc, spec.xi.xi_init)
     partition = Partition(n_sys=target_doc["system_qubits"], n_env=spec.n_env_model)
@@ -259,10 +263,11 @@ def _single_run(spec: ExperimentSpec, target_doc: dict, run_dir: Path, seed: int
         for record in trace.records:
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     save_checkpoint(params, partition, run_dir / "checkpoint.json")
-    _write_curves(run_dir / "curves.csv", _trace_rows(trace.records))
-    report = _report(params, partition, constraints, trace, wall, spec.sampler)
+    rows = _trace_rows(trace.records)
+    _write_curves(run_dir / "curves.csv", rows)
+    report = _report(params, partition, constraints, trace, wall, spec.sampler, seed)
     _write_json(run_dir / "report.json", report)
-    return report
+    return report, rows
 
 
 def cmd_train(spec: ExperimentSpec, target_path=None, outdir: Path | None = None) -> dict:
@@ -277,17 +282,12 @@ def cmd_train(spec: ExperimentSpec, target_path=None, outdir: Path | None = None
     _write_json(outdir / "spec.json", spec.to_dict())
 
     if spec.sweep == 1:
-        return _single_run(spec, target_doc, outdir, spec.optimizer.seed)
+        return _single_run(spec, target_doc, outdir, spec.optimizer.seed)[0]
 
-    seeds = [derive_seed(spec.optimizer.seed, s) for s in range(spec.sweep)]
-    dirs = [outdir / f"seed_{s:02d}" for s in range(spec.sweep)]
-    reports = [_single_run(spec, target_doc, d, seed) for d, seed in zip(dirs, seeds)]
-
-    curve_stack = []
-    for d in dirs:
-        with open(d / "trace.jsonl") as fh:
-            records = [json.loads(line) for line in fh]
-        curve_stack.append(_trace_rows(records))
+    runs = [_single_run(spec, target_doc, outdir / f"seed_{s:02d}",
+                        derive_seed(spec.optimizer.seed, s)) for s in range(spec.sweep)]
+    reports = [report for report, _ in runs]
+    curve_stack = [rows for _, rows in runs]
     n_epochs = min(len(c) for c in curve_stack)
     median_rows = []
     for e in range(n_epochs):

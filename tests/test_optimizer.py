@@ -3,7 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rbmqst.errors import ValidationError
-from rbmqst.estimators import estimate_renyi_n
+from rbmqst.estimators import (
+    entropy_terms,
+    estimate_observable,
+    estimate_renyi_n,
+    observable_terms,
+    renyi_terms,
+    replicas,
+    weighted_batch,
+)
 from rbmqst.oracle import PauliString, gibbs_maxent_solve, trace_distance, trace_power
 from rbmqst.optimizer import (
     Constraint,
@@ -11,19 +19,17 @@ from rbmqst.optimizer import (
     OptimizerConfig,
     XiSchedule,
     cost,
-    _observable_value_and_grad,
+    _contract_pairs,
     exact_cost_and_grad,
     finite_difference_gradient,
-    renyi_value_and_grad,
-    s2_value_and_grad,
     train,
-    vne_value_and_grad,
 )
 from rbmqst.rbm import (
     Partition,
     exact_density_matrix,
     init_params,
     pack_parameters,
+    unpack_parameters,
 )
 from rbmqst.samplers import SamplerConfig, sample_replicas
 
@@ -96,15 +102,28 @@ def test_optimizer_config_validation(kwargs):
 # analytic gradients vs central finite differences (exact-sum mode)
 
 def _obs_value(p, part, obs):
-    from rbmqst.estimators import estimate_observable
     return estimate_observable(p, part, obs, exact_sum=True).value
+
+
+def renyi_value_and_grad(p, part, n, streams=None):
+    reps = replicas(p, part, streams, n, exact_sum=streams is None)
+    value, _, pairs = renyi_terms(reps, n)
+    return value, _contract_pairs(p, pairs)
+
+
+def entropy_value_and_grad(p, part, n_c=None):
+    """Exact S2 (n_c None) or polynomial von Neumann entropy, its gradient
+    and whether the S2 floor bound."""
+    bits, pairs, floored = entropy_terms(replicas(p, part, None, n_c or 2, exact_sum=True), n_c)
+    return bits, _contract_pairs(p, pairs), floored
 
 
 @pytest.mark.parametrize("letters", ["XZ", "YI", "ZZ"])
 def test_grad_observable_matches_fd(letters):
     params, part = make(2, 1, m=2, seed=3)
     obs = PauliString(letters)
-    _, grad = _observable_value_and_grad(params, part, obs, exact_sum=True)
+    batch = weighted_batch(params, part, exact_sum=True)
+    grad = _contract_pairs(params, observable_terms(params, part, obs, batch)[2])
     fd = finite_difference_gradient(lambda p: _obs_value(p, part, obs), params, h=1e-5)
     assert_grad_close(grad, fd)
 
@@ -112,21 +131,21 @@ def test_grad_observable_matches_fd(letters):
 @pytest.mark.parametrize("n", [2, 3])
 def test_renyi_grad_matches_fd(n):
     params, part = make(2, 2, m=2, seed=7)
-    value, grad = renyi_value_and_grad(params, part, n, exact_sum=True)
+    value, grad = renyi_value_and_grad(params, part, n)
     rho = exact_density_matrix(params, part)
     assert_allclose(value, trace_power(rho, n), atol=1e-12)
     fd = finite_difference_gradient(
-        lambda p: renyi_value_and_grad(p, part, n, exact_sum=True)[0], params, h=1e-5)
+        lambda p: renyi_value_and_grad(p, part, n)[0], params, h=1e-5)
     assert_grad_close(grad, fd)
 
 
 def test_s2_grad_matches_fd():
     params, part = make(2, 1, m=2, seed=11)
-    s_bits, grad, floored = s2_value_and_grad(params, part, exact_sum=True)
+    s_bits, grad, floored = entropy_value_and_grad(params, part)
     assert grad.shape == (pack_parameters(params).size,)
     assert not floored
     fd = finite_difference_gradient(
-        lambda p: s2_value_and_grad(p, part, exact_sum=True)[0], params, h=1e-5)
+        lambda p: entropy_value_and_grad(p, part)[0], params, h=1e-5)
     assert_grad_close(grad, fd)
 
 
@@ -134,9 +153,9 @@ def test_vne_grad_matches_fd():
     # coefficients grow steeply with the cutoff; n_c = 6 keeps central
     # differences at h = 1e-5 out of the roundoff regime
     params, part = make(2, 1, m=2, seed=13)
-    _, grad = vne_value_and_grad(params, part, 6, exact_sum=True)
+    _, grad, _ = entropy_value_and_grad(params, part, 6)
     fd = finite_difference_gradient(
-        lambda p: vne_value_and_grad(p, part, 6, exact_sum=True)[0], params, h=1e-5)
+        lambda p: entropy_value_and_grad(p, part, 6)[0], params, h=1e-5)
     assert_grad_close(grad, fd, rel=1e-4, abs_=1e-7)
 
 
@@ -155,8 +174,7 @@ def test_exact_cost_and_grad_matches_fd(mode, n_c, h):
 
 def test_finite_difference_vector_and_params_agree():
     params, part = make(1, 1, m=1, seed=19)
-    f_params = lambda p: s2_value_and_grad(p, part, exact_sum=True)[0]
-    from rbmqst.rbm import unpack_parameters
+    f_params = lambda p: entropy_value_and_grad(p, part)[0]
     f_vec = lambda x: f_params(unpack_parameters(x, params.n_v, params.m, params.beta))
     g1 = finite_difference_gradient(f_params, params, h=1e-5)
     g2 = finite_difference_gradient(f_vec, pack_parameters(params), h=1e-5)
@@ -169,7 +187,7 @@ def test_sampled_renyi_value_matches_estimator_on_same_streams():
     params, part = make(2, 1, m=2, seed=23)
     cfg = SamplerConfig(n_samples=512, burn_in=64, n_chains=4, seed=5)
     streams = sample_replicas(params, cfg, 2)
-    value, grad = renyi_value_and_grad(params, part, 2, replica_samples=streams)
+    value, grad = renyi_value_and_grad(params, part, 2, streams)
     est = estimate_renyi_n(params, part, 2, replica_samples=streams)
     assert_allclose(value, est.value, rtol=1e-12)
     assert np.all(np.isfinite(grad))
@@ -179,10 +197,9 @@ def test_sampled_grad_unbiased_toward_exact():
     # the sampled gradient estimator should agree with the exact-sum gradient
     # to within a few standard errors on a healthy sample budget
     params, part = make(2, 1, m=2, seed=29, std=0.15)
-    _, exact = renyi_value_and_grad(params, part, 2, exact_sum=True)
+    _, exact = renyi_value_and_grad(params, part, 2)
     cfg = SamplerConfig(n_samples=60000, burn_in=500, n_chains=8, seed=31)
-    _, sampled = renyi_value_and_grad(
-        params, part, 2, replica_samples=sample_replicas(params, cfg, 2))
+    _, sampled = renyi_value_and_grad(params, part, 2, sample_replicas(params, cfg, 2))
     assert np.abs(sampled - exact).max() < 0.02
 
 
@@ -321,17 +338,53 @@ def test_exact_epoch_enumerates_once(monkeypatch):
     assert calls == [2**part.n_v]
 
 
+def test_plain_gradient_step_is_lr_times_exact_gradient():
+    params, part = make(2, 1, m=2, seed=5)
+    opt = OptimizerConfig(epochs=1, exact_sum=True, entropy_mode="renyi2",
+                          method="plain-gradient", learning_rate=0.03, grad_clip=1e6)
+    final, trace = train(params, MIXED, XiSchedule(), opt, SamplerConfig())
+    _, g = exact_cost_and_grad(params, part, MIXED, trace.records[0]["xi_values"])
+    assert trace.clip_events == 0
+    assert_allclose(pack_parameters(final), pack_parameters(params) - 0.03 * g,
+                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("exact_sum,mode", [(False, "renyi2"), (False, "renyi2_then_vne"),
+                                             (True, "renyi2_then_vne")],
+                         ids=["sampled_renyi2", "sampled_vne", "exact"])
+def test_epoch_contracts_each_evaluated_array_once(monkeypatch, exact_sum, mode):
+    import rbmqst.optimizer as optimizer
+    params, _ = make(2, 2, m=2, seed=3)
+    evaluations = count_evaluations(monkeypatch)
+    contractions = []
+    original = optimizer.contract
+
+    def counted(params, batch, c):
+        contractions.append(batch.configs.shape[0])
+        return original(params, batch, c)
+
+    monkeypatch.setattr(optimizer, "contract", counted)
+    opt = OptimizerConfig(epochs=1, samples_per_epoch=128, entropy_mode=mode, vne_cutoff=4,
+                          exact_sum=exact_sum)
+    _, trace = train(params, MIXED, XiSchedule(), opt,
+                     SamplerConfig(n_samples=128, burn_in=8, n_chains=4))
+    assert trace.status == "ok"
+    assert len(contractions) == len(evaluations)
+    if exact_sum:
+        assert len(evaluations) == 1
+
+
 def test_numerical_blowup_ends_training_as_diverged(monkeypatch):
     import rbmqst.rbm as rbm
-    original = rbm._log2cosh
+    original = rbm._log2cosh_tanh
     calls = []
 
     def failing(z):
         calls.append(1)
-        out = original(z)
-        return out * np.nan if len(calls) > 3 else out
+        log2cosh, tanh = original(z)
+        return (log2cosh * np.nan if len(calls) > 3 else log2cosh), tanh
 
-    monkeypatch.setattr(rbm, "_log2cosh", failing)
+    monkeypatch.setattr(rbm, "_log2cosh_tanh", failing)
     params, _ = make(1, 1, m=1, seed=1)
     opt = OptimizerConfig(epochs=10, exact_sum=True, entropy_mode="renyi2")
     _, trace = train(params, zstring_constraints([0.2]), XiSchedule(), opt, SamplerConfig())

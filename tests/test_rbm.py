@@ -111,6 +111,18 @@ def test_evaluate_shares_theta_and_guards_non_finite():
             evaluate(p, np.full((1, 3), np.nan))
 
 
+def test_evaluate_tanh_matches_numpy_over_wide_range():
+    # tanh theta comes from the exp(-2 s theta) that log 2cosh already takes;
+    # Re theta spans [-300, 300], Im theta wraps many periods
+    rng = np.random.default_rng(8)
+    m = 201
+    p = RbmParams(a=np.zeros(2, complex), b=np.linspace(-30.0, 30.0, m) + 0j,
+                  w=1j * rng.uniform(-PARAM_BOUND, PARAM_BOUND, (2, m)), beta=10.0)
+    configs = all_configs(2)
+    theta = p.beta * (p.b + configs @ p.w)
+    assert_allclose(evaluate(p, configs).tanh, np.tanh(theta), rtol=0, atol=1e-12)
+
+
 def test_parameter_validation():
     with pytest.raises(ValidationError):
         RbmParams(a=np.array([0.1 + 0j]), b=np.array([0.1 + 0j]),

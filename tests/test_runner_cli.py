@@ -172,6 +172,31 @@ def test_train_sweep_layout(tmp_path):
     assert c0 != c1
 
 
+def test_sweep_members_draw_their_own_evaluation_samples(tmp_path, monkeypatch):
+    import rbmqst.runner as runner
+    seeds = []
+    original = runner.sample_replicas
+
+    def recorded(params, cfg, k, *args):
+        seeds.append(cfg.seed)
+        return original(params, cfg, k, *args)
+
+    monkeypatch.setattr(runner, "sample_replicas", recorded)
+    cmd_train(small_spec(sweep=2, optimizer=OptimizerConfig(epochs=2, exact_sum=True, seed=0)),
+              outdir=tmp_path)
+    assert len(seeds) == 2 and seeds[0] != seeds[1]
+    # the median curves equal those rebuilt from the members' trace files
+    rows = []
+    for s in range(2):
+        with open(tmp_path / f"seed_{s:02d}" / "trace.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        rows.append([(r["cost"], r["entropy_bits"], sum(abs(v) for v in r["residuals"].values()))
+                     for r in records])
+    lines = (tmp_path / "curves.csv").read_text().splitlines()[1:]
+    assert lines == [f"{e},{','.join(map(repr, np.median(cols, axis=0).tolist()))}"
+                     for e, cols in enumerate(np.array(rows).transpose(1, 0, 2))]
+
+
 def test_train_with_existing_target(tmp_path):
     gen_dir = tmp_path / "gen"
     cmd_gen_target(small_spec(), gen_dir)
