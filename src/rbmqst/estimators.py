@@ -256,6 +256,8 @@ def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]
         value = float((ev**n).sum() / ev.sum() ** n)
         g = np.conj(np.linalg.matrix_power(rho, n - 1) @ v) * v
         return value, None, [(batch.ev, 2.0 * n * (g.reshape(-1) - value * batch.weights))]
+    if len(reps.streams) < n:
+        raise ValidationError(f"need at least {n} replica streams")
     u = reps.streams[:n]
     w = [reps.permuted((k + 1) % n, k) for k in range(n)]
     terms = np.exp(sum(wk.log_psi - uk.ev.log_psi for uk, wk in zip(u, w)))
@@ -269,8 +271,9 @@ def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]
 def _renyi_estimate(params: RbmParams, partition: Partition, n: int,
                     replica_samples, exact_sum: bool) -> tuple[EstimateResult, float]:
     """Shared path for estimate_renyi_n / estimate_swap; also returns the
-    imaginary part of the term mean (diagnostic)."""
-    reps = replicas(params, partition, replica_samples, n, exact_sum)
+    imaginary part of the term mean (diagnostic). Takes Replicas as is."""
+    reps = (replica_samples if isinstance(replica_samples, Replicas)
+            else replicas(params, partition, replica_samples, n, exact_sum))
     value, terms, _ = renyi_terms(reps, n)
     if terms is None:
         est = EstimateResult(value=value, std_error=0.0,
@@ -285,13 +288,13 @@ def _renyi_estimate(params: RbmParams, partition: Partition, n: int,
 
 def estimate_renyi_n(params: RbmParams, partition: Partition, n: int,
                      replica_samples=None, exact_sum: bool = False) -> EstimateResult:
-    """Tr(rho_A^n) with the A region = system qubits."""
+    """Tr(rho_A^n) with the A region = system qubits, from streams or Replicas."""
     return _renyi_estimate(params, partition, n, replica_samples, exact_sum)[0]
 
 
 def estimate_swap(params: RbmParams, partition: Partition,
                   replica_samples=None, exact_sum: bool = False) -> SwapResult:
-    """<SWAP_A> = Tr(rho_A^2) from paired streams, plus S2 = -log2(value).
+    """<SWAP_A> = Tr(rho_A^2) from paired streams or Replicas, plus S2 = -log2(value).
 
     The imaginary part of the term mean is reported as a diagnostic; values
     above 1 are clipped to 1 (flagged) before the log.

@@ -10,7 +10,16 @@ exponent is +beta*(a.sigma + b.h + sigma.W.h). No normalization constant is
 ever computed — every consumer works with ratios.
 
 A configuration array is evaluated once into a Batch (configs, tanh theta,
-log psi with theta_j = beta*(b_j + sum_i W_ij v_i)). Gradients never build
+log psi with theta_j = beta*(b_j + sum_i W_ij v_i)) in real arithmetic: with
+x = Re theta and y = Im theta from two real matmuls, s = copysign(1, x),
+r = exp(-2|x|), c = cos 2y, sigma = r sin 2y and e = expm1(-2|x|),
+
+    Re log 2cosh theta = |x| + log1p(r (r + 2c)) / 2   (-inf at zeros of cosh)
+    Im log 2cosh theta = s y + atan2(-s sigma, 1 + r c)
+    tanh theta = (-s e (2 + e) + 2i sigma) / ((1 + r c)^2 + sigma^2),
+
+the branch of s theta + Log(1 + exp(-2 s theta)); the sum-of-squares
+denominator does not cancel near the zeros of cosh. Gradients never build
 the per-configuration log-derivative table: `contract` returns
 Re sum_n c_n d log psi(v_n)/dx for a coefficient vector c directly, from
 d log psi/d a_k = beta v_k, d/d b_j = beta tanh theta_j and
@@ -103,15 +112,37 @@ def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
 # ---------------------------------------------------------------------------
 # amplitudes
 
-def _log2cosh_tanh(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # With s = sign(Re z) and e = exp(-2 s z), whose exponent's real part is
-    # <= 0 so exp never overflows: log(2 cosh z) = s*z + log(1 + e) and
-    # tanh z = s (1 - e) / (1 + e), one complex exp for both.
-    z = np.asarray(z, dtype=complex)
-    s = np.where(z.real >= 0, 1.0, -1.0)
-    e = np.exp(-2.0 * s * z)
-    d = 1.0 + e
-    return s * z + np.log(d), s * (1.0 - e) / d
+def _re_log2cosh_terms(x: np.ndarray, y: np.ndarray):
+    # Re log 2cosh(x + iy) = |x| + log1p(r (r + 2c)) / 2, plus |x|, r and c
+    ax = np.abs(x)
+    r = np.exp(-2.0 * ax)
+    c = np.cos(2.0 * y)
+    return ax + 0.5 * np.log1p(r * (r + 2.0 * c)), ax, r, c
+
+
+def re_log2cosh(theta: np.ndarray) -> np.ndarray:
+    """Per-unit Re log 2cosh theta (-inf at the zeros of cosh)."""
+    return _re_log2cosh_terms(theta.real, theta.imag)[0]
+
+
+def _log2cosh_tanh(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re and Im log 2cosh theta and tanh theta for theta = x + iy (module
+    docstring); x, y and the temporaries are overwritten in place."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re, ax, r, c = _re_log2cosh_terms(x, y)
+        s = np.copysign(1.0, x, out=x)
+        t = np.tan(y)  # sin 2y = 2t/(1+t^2): float64 np.tan is SIMD on x86, np.sin is not
+        sigma = 2.0 * r * t / (1.0 + t * t)
+        d = np.add(1.0, np.multiply(r, c, out=c), out=c)
+        # atan2 is odd in its first argument: s y + atan2(-s sigma, d)
+        im = np.multiply(s, np.subtract(y, np.arctan2(sigma, d, out=r), out=y), out=y)
+        e = np.expm1(np.multiply(-2.0, ax, out=ax), out=ax)
+        den = np.add(np.square(d, out=d), np.square(sigma, out=r), out=d)
+        num = np.multiply(np.add(2.0, e, out=r), e, out=r)  # e (2 + e) <= 0
+        tanh = np.empty(x.shape, dtype=complex)
+        np.divide(np.copysign(num, s, out=num), den, out=tanh.real)
+        np.divide(np.multiply(2.0, sigma, out=sigma), den, out=tanh.imag)
+    return re, im, tanh
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +159,12 @@ def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
     configs = np.atleast_2d(np.asarray(configs, dtype=float))
     if configs.shape[1] != params.n_v:
         raise ValidationError("configuration length does not match n_v")
-    theta = params.beta * (params.b + configs @ params.w)
-    log2cosh, tanh = _log2cosh_tanh(theta)
-    log_psi = params.beta * (configs @ params.a) + log2cosh.sum(axis=1)
+    beta = params.beta
+    x = beta * (configs @ params.w.real + params.b.real)
+    y = beta * (configs @ params.w.imag + params.b.imag)
+    re, im, tanh = _log2cosh_tanh(x, y)
+    log_psi = (beta * (configs @ params.a.real) + re.sum(axis=1)
+               + 1j * (beta * (configs @ params.a.imag) + im.sum(axis=1)))
     if not np.all(np.isfinite(log_psi)):
         raise NumericalError("non-finite log amplitude")
     return Batch(configs=configs, tanh=tanh, log_psi=log_psi)
@@ -219,13 +253,15 @@ def coord_label(params: RbmParams, index: int) -> str:
 
 def contract(params: RbmParams, batch: Batch, c: np.ndarray) -> np.ndarray:
     """Packed real vector Re sum_n c_n d log psi(v_n) / dx for complex
-    coefficients c over the batch's rows: three matmuls, no (N, P) table."""
-    c = np.asarray(c, dtype=complex)
-    beta = params.beta
-    blocks = (beta * (batch.configs.T @ c),
-              beta * (batch.tanh.T @ c),
-              beta * (batch.configs.T @ (c[:, None] * batch.tanh)).reshape(-1))
-    return np.concatenate([part for g in blocks for part in (g.real, -g.imag)])
+    coefficients c over the batch's rows, with no (N, P) table: configs^T c and
+    configs^T (c tanh) are one real matmul over the Re/Im columns of [c, c tanh]."""
+    c = params.beta * np.asarray(c, dtype=complex)[:, None]
+    ct = np.empty((c.shape[0], params.m + 1), dtype=complex)
+    ct[:, :1] = c
+    np.multiply(c, batch.tanh, out=ct[:, 1:])
+    g = (batch.configs.T @ ct.view(float)).view(complex)
+    blocks = (g[:, 0], batch.tanh.T @ c[:, 0], g[:, 1:].reshape(-1))
+    return np.concatenate([part for block in blocks for part in (block.real, -block.imag)])
 
 
 # ---------------------------------------------------------------------------

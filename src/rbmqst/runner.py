@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import estimate_observable, estimate_swap
+from .estimators import estimate_swap, observable_terms, replicas
 from .optimizer import (
     Constraint,
     ConstraintSet,
@@ -212,12 +212,14 @@ def _dense_eval(params: RbmParams, partition: Partition,
 def _sampled_eval(params: RbmParams, partition: Partition, constraints: ConstraintSet,
                   sampler: SamplerConfig) -> tuple[dict, dict, float, float]:
     """Sampled residuals, their standard errors, S2 and its standard error."""
-    pair = sample_replicas(params, sampler, 2)
-    ests = {c.obs.identifier: estimate_observable(params, partition, c.obs, pair[0])
-            for c in constraints}
-    residuals = {c.obs.identifier: ests[c.obs.identifier].value - c.target for c in constraints}
-    std_errors = {key: est.std_error for key, est in ests.items()}
-    swap = estimate_swap(params, partition, pair)
+    reps = replicas(params, partition, sample_replicas(params, sampler, 2), 2)
+    batch = reps.streams[0]
+    residuals, std_errors = {}, {}
+    for c in constraints:
+        est = batch.estimate(observable_terms(params, partition, c.obs, batch)[1].real)
+        residuals[c.obs.identifier] = est.value - c.target
+        std_errors[c.obs.identifier] = est.std_error
+    swap = estimate_swap(params, partition, reps)
     return residuals, std_errors, swap.s2_bits, swap.s2_std_error
 
 

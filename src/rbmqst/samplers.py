@@ -13,8 +13,9 @@ equal size, each drawing from its own seeded generator in a fixed order, so
 a group's samples do not depend on the other groups: sample_replicas runs
 its k replica streams as one call of k groups, with one burn-in, and each
 stream equals a lone mh_sample on that stream's seed. Every chain keeps
-theta = beta*(b + W^T v), the per-unit Re log 2cosh theta and log|psi| of
-its state, so a LocalFlip step costs O(m) per chain (the look-up tables of
+theta = beta*(b + W^T v), the per-unit Re log 2cosh theta (rbm.re_log2cosh,
+the expression rbm.evaluate uses) and log|psi| of its state, so a LocalFlip
+step costs O(m) per chain (the look-up tables of
 Carleo & Troyer, Science 355, 602, 2017); Uniform proposals evaluate the
 whole proposed configuration, and SurrogateTrotter looks log|psi| up over
 the enumeration its proposal matrix already needs.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP
-from .rbm import RbmParams, log_amplitudes
+from .rbm import RbmParams, log_amplitudes, re_log2cosh
 from .spins import all_configs, configs_to_indices
 
 PROPOSALS = ("LocalFlip", "Uniform", "SurrogateTrotter")
@@ -225,19 +226,10 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def _re_log2cosh(theta: np.ndarray) -> np.ndarray:
-    # Re log 2cosh(x + iy) in real arithmetic: with r = exp(-2|x|),
-    # |2cosh theta|^2 = exp(2|x|) (1 + r^2 + 2r cos 2y). Zeros of cosh give
-    # -inf, which the acceptance step rejects rather than raising.
-    ax = np.abs(theta.real)
-    r = np.exp(-2.0 * ax)
-    return ax + 0.5 * np.log1p(r * (r + 2.0 * np.cos(2.0 * theta.imag)))
-
-
 def _chain_state(params: RbmParams, spins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """theta, the per-unit Re log 2cosh theta and log|psi| of rows of spins."""
     theta = params.beta * (params.b + spins @ params.w)
-    ell = _re_log2cosh(theta)
+    ell = re_log2cosh(theta)
     return theta, ell, params.beta * (spins @ params.a.real) + ell.sum(axis=1)
 
 
@@ -297,7 +289,7 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
                 sites = np.concatenate([rng.integers(0, n_v, size=group) for rng in rngs])
                 s = spins[rows, sites]
                 theta_p = theta - s[:, None] * w2[sites]
-                ell_p = _re_log2cosh(theta_p)
+                ell_p = re_log2cosh(theta_p)
                 delta = (ell_p - ell).sum(axis=1) - s * a2[sites]
                 log_alpha = 2.0 * delta
             elif proposal == "Uniform":

@@ -379,10 +379,10 @@ def test_numerical_blowup_ends_training_as_diverged(monkeypatch):
     original = rbm._log2cosh_tanh
     calls = []
 
-    def failing(z):
+    def failing(x, y):
         calls.append(1)
-        log2cosh, tanh = original(z)
-        return (log2cosh * np.nan if len(calls) > 3 else log2cosh), tanh
+        re, im, tanh = original(x, y)
+        return (re * np.nan if len(calls) > 3 else re), im, tanh
 
     monkeypatch.setattr(rbm, "_log2cosh_tanh", failing)
     params, _ = make(1, 1, m=1, seed=1)

@@ -21,6 +21,7 @@ from rbmqst.rbm import (
     log_amplitude,
     log_amplitudes,
     pack_parameters,
+    re_log2cosh,
     save_checkpoint,
     unpack_parameters,
     zero_params,
@@ -112,8 +113,9 @@ def test_evaluate_shares_theta_and_guards_non_finite():
 
 
 def test_evaluate_tanh_matches_numpy_over_wide_range():
-    # tanh theta comes from the exp(-2 s theta) that log 2cosh already takes;
-    # Re theta spans [-300, 300], Im theta wraps many periods
+    # tanh theta from the real-arithmetic kernel, whose sum-of-squares
+    # denominator does not cancel near the zeros of cosh; Re theta spans
+    # [-300, 300], Im theta wraps many periods
     rng = np.random.default_rng(8)
     m = 201
     p = RbmParams(a=np.zeros(2, complex), b=np.linspace(-30.0, 30.0, m) + 0j,
@@ -121,6 +123,56 @@ def test_evaluate_tanh_matches_numpy_over_wide_range():
     configs = all_configs(2)
     theta = p.beta * (p.b + configs @ p.w)
     assert_allclose(evaluate(p, configs).tanh, np.tanh(theta), rtol=0, atol=1e-12)
+
+
+def _wide_theta_params(seed):
+    # Re theta spans [-300, 300] (beta 10), Im theta wraps many periods
+    rng = np.random.default_rng(seed)
+    m = 201
+    return RbmParams(a=rng.uniform(-1.0, 1.0, 3) + 1j * rng.uniform(-1.0, 1.0, 3),
+                     b=np.linspace(-27.0, 27.0, m) + 1j * rng.uniform(-3.0, 3.0, m),
+                     w=rng.uniform(-1.0, 1.0, (3, m))
+                     + 1j * rng.uniform(-PARAM_BOUND, PARAM_BOUND, (3, m)), beta=10.0)
+
+
+def test_evaluate_log_psi_matches_complex_functions():
+    # beta a.v + sum_j log 2cosh theta_j with numpy's complex exp and log, in
+    # the branch s theta + Log(1 + exp(-2 s theta)), s = sign Re theta, that
+    # the real-arithmetic imaginary part takes
+    p = _wide_theta_params(9)
+    configs = all_configs(3)
+    theta = p.beta * (p.b + configs @ p.w)
+    assert np.abs(theta.real).max() <= 300.0
+    s = np.where(theta.real >= 0, 1.0, -1.0)
+    log2cosh = s * theta + np.log(1.0 + np.exp(-2.0 * s * theta))
+    expected = p.beta * (configs @ p.a) + log2cosh.sum(axis=1)
+    log_psi = evaluate(p, configs).log_psi
+    assert_allclose(log_psi.real, expected.real, rtol=1e-12)
+    assert_allclose(log_psi.imag, expected.imag, rtol=1e-12)
+
+
+def test_evaluate_real_part_is_the_sampler_formula(monkeypatch):
+    import rbmqst.rbm as rbm
+    seen = []
+    original = rbm._log2cosh_tanh
+
+    def recorded(x, y):
+        theta = x + 1j * y
+        out = original(x, y)
+        seen.append((theta, out[0]))
+        return out
+
+    monkeypatch.setattr(rbm, "_log2cosh_tanh", recorded)
+    evaluate(_wide_theta_params(10), all_configs(3))
+    (theta, re), = seen
+    assert np.array_equal(re, re_log2cosh(theta))
+
+
+def test_evaluate_raises_at_a_zero_of_cosh():
+    # theta = i pi/2: 2cosh theta = 0, log psi = -inf
+    p = RbmParams(a=np.zeros(1, complex), b=np.array([0.5j * np.pi]), w=np.zeros((1, 1), complex))
+    with pytest.raises(NumericalError):
+        evaluate(p, np.ones((1, 1)))
 
 
 def test_parameter_validation():
@@ -221,6 +273,19 @@ def test_contract_matches_finite_differences(n_v, m, beta, seed):
             e[i] = h
             fd[i] = (f(x0 + e) - f(x0 - e)) / (2 * h)
         assert_allclose(contract(p, batch, coeff), fd, atol=1e-8)
+
+
+def test_contract_matches_complex_matmuls():
+    # the real matmuls over Re/Im parts equal the complex three-matmul form
+    rng = np.random.default_rng(12)
+    p = init_params(5, 3, rng, std=0.4, beta=0.7)
+    configs = 1.0 - 2.0 * rng.integers(0, 2, (64, 5))
+    batch = evaluate(p, configs)
+    c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    blocks = (p.beta * (configs.T @ c), p.beta * (batch.tanh.T @ c),
+              p.beta * (configs.T @ (c[:, None] * batch.tanh)).reshape(-1))
+    expected = np.concatenate([part for g in blocks for part in (g.real, -g.imag)])
+    assert_allclose(contract(p, batch, c), expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,42 @@ def test_eval_report(tmp_path):
     assert (tmp_path / "eval" / "report.json").exists()
 
 
+def test_final_sampled_evaluation_evaluates_each_array_once(monkeypatch):
+    # 2 streams + 2 permuted arrays + one connected array per off-diagonal
+    # constraint; the values equal the public estimators on the same streams
+    import rbmqst.estimators as estimators
+    from rbmqst.oracle import PauliString
+    from rbmqst.optimizer import Constraint, ConstraintSet
+    from rbmqst.rbm import Partition, init_params
+    from rbmqst.runner import _sampled_eval
+    from rbmqst.samplers import sample_replicas
+
+    constraints = ConstraintSet(entries=(Constraint(PauliString("ZZ"), 0.2, 1.0),
+                                         Constraint(PauliString("XI"), 0.1, 1.0),
+                                         Constraint(PauliString("YZ"), -0.1, 1.0)))
+    partition = Partition(n_sys=2, n_env=1)
+    params = init_params(3, 2, np.random.default_rng(5), std=0.4)
+    sampler = SamplerConfig(n_samples=256, burn_in=16, n_chains=4, seed=3)
+    calls = []
+    original = estimators.evaluate
+
+    def counted(p, configs):
+        calls.append(1)
+        return original(p, configs)
+
+    monkeypatch.setattr(estimators, "evaluate", counted)
+    residuals, std_errors, s2, s2_se = _sampled_eval(params, partition, constraints, sampler)
+    assert len(calls) == 4 + 2
+    monkeypatch.setattr(estimators, "evaluate", original)
+    pair = sample_replicas(params, sampler, 2)
+    for c in constraints:
+        est = estimators.estimate_observable(params, partition, c.obs, pair[0])
+        assert residuals[c.obs.identifier] == pytest.approx(est.value - c.target, rel=1e-12)
+        assert std_errors[c.obs.identifier] == pytest.approx(est.std_error, rel=1e-12)
+    swap = estimators.estimate_swap(params, partition, pair)
+    assert (s2, s2_se) == pytest.approx((swap.s2_bits, swap.s2_std_error), rel=1e-12)
+
+
 def test_eval_system_size_mismatch(tmp_path):
     cmd_train(small_spec(), outdir=tmp_path / "run")
     cmd_gen_target(small_spec(n_sys=3, observable_count=3), tmp_path / "other")
