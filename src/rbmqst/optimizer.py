@@ -10,7 +10,9 @@ evaluated array is contracted once, so sampled and exact_sum modes run the
 same code and an epoch evaluates and contracts each configuration array
 once: the replica streams (stream 0 doubles as the observable batch), the
 permuted replica arrays and the connected arrays of off-diagonal
-observables. An exact epoch is one enumeration and one contraction.
+observables. An exact epoch is one enumeration and one contraction. A
+sampled epoch continues the previous epoch's Metropolis-Hastings chains
+with a short burn-in (see train).
 
 All of it is verified against central finite differences of the exact
 cost (finite_difference_gradient).
@@ -233,6 +235,12 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
     With entropy_mode = renyi2_then_vne the entropy term switches to the
     polynomial von Neumann estimate for the final 10% of epochs.
 
+    Sampled chains persist across epochs (persistent contrastive
+    divergence, Tieleman, ICML 2008): an epoch with as many streams as the
+    last continues its chains with sampler.burn_in // 8 steps; epoch 0 and
+    the switch to vne_cutoff streams start fresh with the full burn_in. A
+    record's autocorr_time is the largest of its streams' (None if exact).
+
     A non-finite cost or a numerical failure (NumericalError, which
     includes EstimationError) halts training, returning the partial trace
     with status "diverged".
@@ -255,6 +263,7 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
         fit_batch = 1.0 - 2.0 * surrogate_rng.integers(
             0, 2, size=(min(256, opt.samples_per_epoch), params.n_v)).astype(float)
 
+    ends = None  # the last sampled epoch's chain end states
     for epoch in range(opt.epochs):
         vne_phase = epoch >= opt.epochs - n_vne
         xis = np.array([schedule.at(c.xi, epoch) for c in constraints])
@@ -265,13 +274,18 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
         try:
             if opt.exact_sum:
                 reps = replicas(params, partition, None, 2, exact_sum=True)
-                acceptance = None
+                acceptance = autocorr = None
             else:
                 k = opt.vne_cutoff if vne_phase else 2
+                if ends is not None and len(ends) != k * sampler.n_chains:
+                    ends = None
                 cfg = replace(sampler, n_samples=opt.samples_per_epoch,
-                              seed=derive_seed(opt.seed, 0x45504F43 + epoch))
-                streams = sample_replicas(params, cfg, k, surrogate)
+                              seed=derive_seed(opt.seed, 0x45504F43 + epoch),
+                              burn_in=sampler.burn_in if ends is None else sampler.burn_in // 8)
+                streams = sample_replicas(params, cfg, k, surrogate, start=ends)
+                ends = np.concatenate([s.chain_view()[:, -1] for s in streams])
                 acceptance = float(np.mean([s.diagnostics["acceptance_rate"] for s in streams]))
+                autocorr = max(s.diagnostics["autocorr_time"] for s in streams)
                 if sampler.proposal == "SurrogateTrotter":
                     fit_batch = streams[0].spins[:min(256, streams[0].n_samples)]
                 reps = replicas(params, partition, streams, k)
@@ -311,6 +325,7 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
             "entropy_bits": float(s_bits),
             "residuals": {c.obs.identifier: float(r) for c, r in zip(constraints, residuals)},
             "acceptance_rate": acceptance,
+            "autocorr_time": autocorr,
             "xi_values": xis.tolist(),
             "grad_norm": grad_norm,
         })

@@ -12,7 +12,9 @@ All chains of a call run in one vectorized loop. They form groups of
 equal size, each drawing from its own seeded generator in a fixed order, so
 a group's samples do not depend on the other groups: sample_replicas runs
 its k replica streams as one call of k groups, with one burn-in, and each
-stream equals a lone mh_sample on that stream's seed. Every chain keeps
+stream equals a lone mh_sample on that stream's seed. A call can continue
+chains from given start states (start=) instead of drawing them, as
+optimizer.train does from one epoch to the next. Every chain keeps
 theta = beta*(b + W^T v), the per-unit Re log 2cosh theta (rbm.re_log2cosh,
 the expression rbm.evaluate uses) and log|psi| of its state, so a LocalFlip
 step costs O(m) per chain (the look-up tables of
@@ -88,6 +90,15 @@ class SurrogateParams:
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Metropolis-Hastings settings; mh_sample and sample_replicas read them
+    all. optimizer.train reads burn_in, thinning, n_chains and proposal: it
+    replaces n_samples by optimizer.samples_per_epoch and seed by a
+    per-epoch seed derived from optimizer.seed, and runs burn_in steps on
+    fresh chains but burn_in // 8 on chains continued from the previous
+    epoch. The runner's final report draws fresh chains with the full
+    burn_in, max(n_samples, 4096) samples and a seed derived from the
+    run's seed."""
+
     n_samples: int = 1024
     burn_in: int = 256
     thinning: int = 1
@@ -234,13 +245,16 @@ def _chain_state(params: RbmParams, spins: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
-               q: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               q: np.ndarray | None, start: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Metropolis-Hastings loop over config.n_chains chains in
     len(seeds) equal groups; group r draws from default_rng(seeds[r]) in the
     order of a lone group (start, retries, then per step the proposal draws
     and the acceptance draw), so a group's chains do not depend on the
-    others. Returns the kept spins (n_chains, chain_len, n_v), their
-    log|psi| and each chain's accepted moves after burn-in."""
+    others. Given start rows, a group starts from its own rows and draws
+    only the retries of rows with non-finite log|psi|. Returns the kept
+    spins (n_chains, chain_len, n_v), their log|psi| and each chain's
+    accepted moves after burn-in."""
     n_v, beta = params.n_v, params.beta
     rngs = [np.random.default_rng(s) for s in seeds]
     group = config.n_chains // len(seeds)
@@ -264,8 +278,8 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
             idx = configs_to_indices(spins)
             return spins, idx, lp_table[idx]
 
-    def start(rng):
-        spins = draw(rng, group)
+    def begin(rng, rows):
+        spins = draw(rng, group) if rows is None else rows.copy()
         for _ in range(100):
             current = state(spins)
             bad = ~np.isfinite(current[-1])
@@ -275,7 +289,8 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
         raise EstimationError("could not find a start configuration with nonzero amplitude")
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        spins, *extra, lp = (np.concatenate(part) for part in zip(*map(start, rngs)))
+        starts = [None] * len(rngs) if start is None else np.split(start, len(rngs))
+        spins, *extra, lp = (np.concatenate(part) for part in zip(*map(begin, rngs, starts)))
         rows = np.arange(config.n_chains)
         if proposal == "LocalFlip":
             theta, ell = extra
@@ -336,7 +351,7 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
 
 def mh_sample(params: RbmParams, config: SamplerConfig,
               surrogate: SurrogateParams | None = None, *,
-              seeds=None) -> SampleSet:
+              seeds=None, start=None) -> SampleSet:
     """Metropolis-Hastings chains targeting |psi|^2.
 
     With seeds = None the config.n_chains chains draw from config.seed, and
@@ -347,6 +362,11 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
     n_chains / g chains would; the diagnostics then give the overall
     acceptance rate and sample count plus, under "streams", each group's
     own diagnostics.
+
+    start, if given, is an (n_chains, n_v) array of +-1 states, one row per
+    chain: the chains continue from it (config.burn_in steps still run)
+    instead of drawing their start states, and group r from its own rows,
+    so a lone call on group r's rows equals group r of a joint call.
     """
     if (config.proposal == "SurrogateTrotter") != (surrogate is not None):
         raise ValidationError("surrogate must be given exactly when proposal is SurrogateTrotter")
@@ -355,13 +375,17 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
     if not seeds or config.n_chains % len(seeds):
         raise ValidationError("n_chains must split into one equal group per seed")
     n_v = params.n_v
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (config.n_chains, n_v) or not np.all(np.abs(start) == 1.0):
+            raise ValidationError(f"start must be a ({config.n_chains}, {n_v}) array of +-1 states")
     q = None
     if surrogate is not None:
         if surrogate.l.size != n_v:
             raise ValidationError("surrogate size does not match n_v")
         q = trotter_proposal_matrix(surrogate)
 
-    kept, kept_lp, accepted = _mh_chains(params, config, seeds, q)
+    kept, kept_lp, accepted = _mh_chains(params, config, seeds, q, start)
     group = config.n_chains // len(seeds)
     chain_len = kept.shape[1]
     moves = group * chain_len * config.thinning
@@ -383,15 +407,20 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
 
 
 def sample_replicas(params: RbmParams, config: SamplerConfig, k: int,
-                    surrogate: SurrogateParams | None = None) -> list[SampleSet]:
+                    surrogate: SurrogateParams | None = None, *,
+                    start=None) -> list[SampleSet]:
     """k independent equally long sample streams from one joint
     Metropolis-Hastings run of k * n_chains chains; replica r samples as
-    mh_sample on seed derive_seed(config.seed, r) would."""
+    mh_sample on seed derive_seed(config.seed, r) would. start, if given,
+    holds the k * n_chains chains' start states, replica r's in rows
+    [r * n_chains, (r + 1) * n_chains) (the end states of k streams are
+    np.concatenate([s.chain_view()[:, -1] for s in streams]))."""
     if k < 2:
         raise ValidationError("replica count must be >= 2")
     joint = mh_sample(params, replace(config, n_samples=k * config.n_samples,
                                       n_chains=k * config.n_chains),
-                      surrogate, seeds=[derive_seed(config.seed, r) for r in range(k)])
+                      surrogate, seeds=[derive_seed(config.seed, r) for r in range(k)],
+                      start=start)
     rows = joint.n_samples // k
     return [SampleSet(spins=joint.spins[r * rows:(r + 1) * rows], n_chains=config.n_chains,
                       chain_len=joint.chain_len, diagnostics=diag)

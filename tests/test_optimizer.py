@@ -232,8 +232,9 @@ def test_trace_record_schema_exact_mode():
     _, trace = train(params, cs, XiSchedule(), opt, SamplerConfig())
     rec = trace.records[0]
     assert set(rec) == {"epoch", "cost", "entropy_bits", "residuals",
-                        "acceptance_rate", "xi_values", "grad_norm"}
+                        "acceptance_rate", "autocorr_time", "xi_values", "grad_norm"}
     assert rec["acceptance_rate"] is None
+    assert rec["autocorr_time"] is None
     assert rec["residuals"].keys() == {"Z"}
     assert trace.records[-1]["epoch"] == 24
     # xi grows by the schedule across blocks
@@ -249,7 +250,40 @@ def test_sampled_train_smoke():
     assert trace.status == "ok"
     assert len(trace.records) == 20
     assert 0.0 < trace.records[0]["acceptance_rate"] <= 1.0
+    assert all(r["autocorr_time"] >= 1.0 for r in trace.records)
     assert np.isfinite(trace.records[-1]["cost"])
+
+
+def test_sampled_train_continues_chains_across_epochs(monkeypatch):
+    # epoch t starts where epoch t-1's chains ended, with burn_in // 8;
+    # epoch 0 and the switch from 2 to vne_cutoff streams start fresh
+    import rbmqst.optimizer as optimizer
+    calls = []
+    original = optimizer.sample_replicas
+
+    def recorded(params, cfg, k, surrogate=None, *, start=None):
+        streams = original(params, cfg, k, surrogate, start=start)
+        ends = np.concatenate([s.chain_view()[:, -1] for s in streams])
+        calls.append((cfg.burn_in, None if start is None else np.array(start), ends))
+        return streams
+
+    monkeypatch.setattr(optimizer, "sample_replicas", recorded)
+    params, _ = make(2, 1, m=2, seed=2)
+    opt = OptimizerConfig(epochs=20, samples_per_epoch=64, entropy_mode="renyi2_then_vne",
+                          vne_cutoff=3, seed=4)
+    sampler = SamplerConfig(n_samples=64, burn_in=40, n_chains=4)
+    _, trace = train(params, MIXED, XiSchedule(), opt, sampler)
+    assert trace.status == "ok"
+    assert len(calls) == 20
+    switch = 18  # the final 10% of 20 epochs use the von Neumann entropy
+    for epoch, (burn_in, start, _) in enumerate(calls):
+        if epoch in (0, switch):
+            assert start is None
+            assert burn_in == 40
+        else:
+            assert np.array_equal(start, calls[epoch - 1][2])
+            assert burn_in == 5
+    assert len(calls[switch][2]) == 3 * 4
 
 
 def test_train_seed_reproducible():

@@ -232,18 +232,55 @@ def test_sample_replicas_independent_streams():
 @pytest.mark.parametrize("proposal", PROPOSALS)
 def test_sample_replicas_equal_lone_streams(proposal, k):
     # one joint run of k chain groups gives each replica exactly the samples
-    # and diagnostics of a lone run on that replica's seed
+    # and diagnostics of a lone run on that replica's seed, with drawn start
+    # states and with given ones (each replica's own rows of them)
     p = make_params(n_v=5, m=3, seed=6, std=0.4)
     sur = fit_surrogate(p, all_configs(5)) if proposal == "SurrogateTrotter" else None
     cfg = SamplerConfig(n_samples=64, burn_in=30, thinning=2, n_chains=4, seed=9,
                         proposal=proposal)
-    streams = sample_replicas(p, cfg, k, sur)
-    assert len(streams) == k
-    for r, stream in enumerate(streams):
-        lone = mh_sample(p, replace(cfg, seed=derive_seed(cfg.seed, r)), sur)
-        assert np.array_equal(stream.spins, lone.spins)
-        assert (stream.n_chains, stream.chain_len) == (lone.n_chains, lone.chain_len)
-        assert stream.diagnostics == lone.diagnostics
+    given = 1.0 - 2.0 * np.random.default_rng(12).integers(0, 2, size=(k * 4, 5))
+    for start in (None, given):
+        streams = sample_replicas(p, cfg, k, sur, start=start)
+        assert len(streams) == k
+        for r, stream in enumerate(streams):
+            rows = None if start is None else start[r * 4:(r + 1) * 4]
+            lone = mh_sample(p, replace(cfg, seed=derive_seed(cfg.seed, r)), sur, start=rows)
+            assert np.array_equal(stream.spins, lone.spins)
+            assert (stream.n_chains, stream.chain_len) == (lone.n_chains, lone.chain_len)
+            assert stream.diagnostics == lone.diagnostics
+
+
+def test_start_states_continue_the_chains():
+    # one LocalFlip step from the start states: each kept row is its chain's
+    # start row or one flip away from it, and the caller's array is untouched
+    p = make_params()
+    start = 1.0 - 2.0 * np.random.default_rng(3).integers(0, 2, size=(16, 4))
+    given = start.copy()
+    s = mh_sample(p, SamplerConfig(n_samples=16, burn_in=0, n_chains=16, seed=1), start=start)
+    assert np.array_equal(start, given)
+    assert (s.chain_view()[:, 0] != start).sum(axis=1).max() <= 1
+
+
+@pytest.mark.parametrize("start", [np.ones((4, 3)), np.ones((8, 4)), np.ones(16),
+                                   np.where(np.eye(4, dtype=bool), 0.0, 1.0),
+                                   np.full((4, 4), 2.0), np.full((4, 4), np.nan)],
+                         ids=["narrow", "tall", "flat", "zero", "two", "nan"])
+def test_malformed_start_is_refused_before_sampling(monkeypatch, start):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled or allocated before validating the start states")
+
+    p = make_params()
+    monkeypatch.setattr(samplers, "_mh_chains", no_sampling)
+    monkeypatch.setattr(samplers, "trotter_proposal_matrix", no_sampling)
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    cfg = SamplerConfig(n_samples=32, burn_in=4, n_chains=4)
+    with pytest.raises(ValidationError):
+        mh_sample(p, cfg, start=start)
+    sur = SurrogateParams(l=np.zeros(4), j=np.zeros((4, 4)))
+    with pytest.raises(ValidationError):
+        mh_sample(p, replace(cfg, proposal="SurrogateTrotter"), sur, start=start)
+    with pytest.raises(ValidationError):  # k = 2 replicas need 2 * n_chains rows
+        sample_replicas(p, cfg, 2, start=np.ones((4, 4)) if start.shape == (8, 4) else start)
 
 
 def test_sample_replicas_builds_trotter_matrix_once(monkeypatch):
