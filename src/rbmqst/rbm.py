@@ -10,16 +10,19 @@ exponent is +beta*(a.sigma + b.h + sigma.W.h). No normalization constant is
 ever computed — every consumer works with ratios.
 
 A configuration array is evaluated once into a Batch (configs, tanh theta,
-log psi with theta_j = beta*(b_j + sum_i W_ij v_i)) in real arithmetic: with
-x = Re theta and y = Im theta from two real matmuls, s = copysign(1, x),
-r = exp(-2|x|), c = cos 2y, sigma = r sin 2y and e = expm1(-2|x|),
+log psi with theta_j = beta*(b_j + sum_i W_ij v_i)) in real arithmetic and
+in cache-sized row blocks: with x = Re theta and y = Im theta from two real
+matmuls, s = copysign(1, x), e = expm1(-2|x|), r = 1 + e, t = tan y and
+p = r / (1 + t^2) = r cos^2 y,
 
-    Re log 2cosh theta = |x| + log1p(r (r + 2c)) / 2   (-inf at zeros of cosh)
-    Im log 2cosh theta = s y + atan2(-s sigma, 1 + r c)
-    tanh theta = (-s e (2 + e) + 2i sigma) / ((1 + r c)^2 + sigma^2),
+    den = |1 + exp(-2 s theta)|^2 = e^2 + 4p
+    Re log 2cosh theta = |x| + log(den) / 2
+    Im log 2cosh theta = s (y - atan2(2pt, 2p - e))
+    tanh theta = (-s e (2 + e) + 4i pt) / den,
 
-the branch of s theta + Log(1 + exp(-2 s theta)); the sum-of-squares
-denominator does not cancel near the zeros of cosh. Gradients never build
+the branch of s theta + Log(1 + exp(-2 s theta)) (2pt = r sin 2y, 2p - e =
+1 + r cos 2y). No cos or sin is taken, and no term cancels: Re log 2cosh
+theta is finite for every finite theta. Gradients never build
 the per-configuration log-derivative table: `contract` returns
 Re sum_n c_n d log psi(v_n)/dx for a coefficient vector c directly, from
 d log psi/d a_k = beta v_k, d/d b_j = beta tanh theta_j and
@@ -113,15 +116,19 @@ def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
 # amplitudes
 
 def _re_log2cosh_terms(x: np.ndarray, y: np.ndarray):
-    # Re log 2cosh(x + iy) = |x| + log1p(r (r + 2c)) / 2, plus |x|, r and c
+    # Re log 2cosh(x + iy) = |x| + log(den) / 2 (module docstring), |x|, e, t, p, den
     ax = np.abs(x)
-    r = np.exp(-2.0 * ax)
-    c = np.cos(2.0 * y)
-    return ax + 0.5 * np.log1p(r * (r + 2.0 * c)), ax, r, c
+    e = np.expm1(np.multiply(-2.0, ax))
+    t = np.tan(y)  # float64 np.tan is SIMD on x86, np.cos and np.sin are not
+    q = np.add(1.0, np.square(t))
+    p = np.divide(np.add(1.0, e), q)
+    den = np.add(np.multiply(4.0, p, out=q), np.square(e), out=q)
+    re = np.log(den)
+    return np.add(np.multiply(0.5, re, out=re), ax, out=re), ax, e, t, p, den
 
 
 def re_log2cosh(theta: np.ndarray) -> np.ndarray:
-    """Per-unit Re log 2cosh theta (-inf at the zeros of cosh)."""
+    """Per-unit Re log 2cosh theta (finite for every finite theta)."""
     return _re_log2cosh_terms(theta.real, theta.imag)[0]
 
 
@@ -129,16 +136,14 @@ def _log2cosh_tanh(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Re and Im log 2cosh theta and tanh theta for theta = x + iy (module
     docstring); x, y and the temporaries are overwritten in place."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        re, ax, r, c = _re_log2cosh_terms(x, y)
+        re, ax, e, t, p, den = _re_log2cosh_terms(x, y)
         s = np.copysign(1.0, x, out=x)
-        t = np.tan(y)  # sin 2y = 2t/(1+t^2): float64 np.tan is SIMD on x86, np.sin is not
-        sigma = 2.0 * r * t / (1.0 + t * t)
-        d = np.add(1.0, np.multiply(r, c, out=c), out=c)
-        # atan2 is odd in its first argument: s y + atan2(-s sigma, d)
-        im = np.multiply(s, np.subtract(y, np.arctan2(sigma, d, out=r), out=y), out=y)
-        e = np.expm1(np.multiply(-2.0, ax, out=ax), out=ax)
-        den = np.add(np.square(d, out=d), np.square(sigma, out=r), out=d)
-        num = np.multiply(np.add(2.0, e, out=r), e, out=r)  # e (2 + e) <= 0
+        p *= 2.0
+        sigma = np.multiply(p, t, out=t)  # r sin 2y
+        d = np.subtract(p, e, out=p)  # 1 + r cos 2y >= 0
+        # atan2 is odd in its first argument: s (y - atan2(sigma, d))
+        im = np.multiply(s, np.subtract(y, np.arctan2(sigma, d, out=d), out=y), out=y)
+        num = np.multiply(np.add(2.0, e, out=ax), e, out=ax)  # e (2 + e) <= 0
         tanh = np.empty(x.shape, dtype=complex)
         np.divide(np.copysign(num, s, out=num), den, out=tanh.real)
         np.divide(np.multiply(2.0, sigma, out=sigma), den, out=tanh.imag)
@@ -154,17 +159,26 @@ class Batch:
     log_psi: np.ndarray  # complex (N,)
 
 
+# kernel elements per row block of evaluate: a block's temporaries stay in cache
+BLOCK_ELEMENTS = 8192
+
+
 def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
     """Evaluate log psi and tanh theta over rows of configs, theta once."""
     configs = np.atleast_2d(np.asarray(configs, dtype=float))
     if configs.shape[1] != params.n_v:
         raise ValidationError("configuration length does not match n_v")
-    beta = params.beta
-    x = beta * (configs @ params.w.real + params.b.real)
-    y = beta * (configs @ params.w.imag + params.b.imag)
-    re, im, tanh = _log2cosh_tanh(x, y)
-    log_psi = (beta * (configs @ params.a.real) + re.sum(axis=1)
-               + 1j * (beta * (configs @ params.a.imag) + im.sum(axis=1)))
+    beta, n = params.beta, configs.shape[0]
+    tanh = np.empty((n, params.m), dtype=complex)
+    log_psi = np.empty(n, dtype=complex)
+    rows = max(1, BLOCK_ELEMENTS // max(params.m, 1))
+    for i in range(0, n, rows):
+        v = configs[i:i + rows]
+        x = beta * (v @ params.w.real + params.b.real)
+        y = beta * (v @ params.w.imag + params.b.imag)
+        re, im, tanh[i:i + rows] = _log2cosh_tanh(x, y)
+        log_psi.real[i:i + rows] = beta * (v @ params.a.real) + re.sum(axis=1)
+        log_psi.imag[i:i + rows] = beta * (v @ params.a.imag) + im.sum(axis=1)
     if not np.all(np.isfinite(log_psi)):
         raise NumericalError("non-finite log amplitude")
     return Batch(configs=configs, tanh=tanh, log_psi=log_psi)

@@ -195,12 +195,13 @@ def trotter_proposal_matrix(surrogate: SurrogateParams, cap: int = TROTTER_CAP) 
 # autocorrelation
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
-    x = x - x.mean()
-    n = x.size
+    """Autocovariance of each row of x, all rows in one FFT pair."""
+    x = x - x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
     nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real
-    return acov / n
+    f = np.fft.rfft(x, nfft, axis=-1)
+    # np.multiply, not *: * reuses a large temporary in place, which rounds differently
+    return np.fft.irfft(np.multiply(f, np.conj(f)), nfft, axis=-1)[..., :n] / n
 
 
 def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
@@ -210,7 +211,7 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
     series = np.atleast_2d(np.asarray(series, dtype=float))
     if series.shape[1] < 8:
         return 1.0
-    acov = np.mean([_autocovariance(row) for row in series], axis=0)
+    acov = _autocovariance(series).mean(axis=0)
     if acov[0] <= 0:
         return 1.0
     rho = acov / acov[0]

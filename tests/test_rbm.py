@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import rbmqst.rbm as rbm_module
 from rbmqst.errors import DenseCapError, NumericalError, ValidationError
 from rbmqst.oracle import entropy_exact
 from rbmqst.rbm import (
@@ -168,11 +170,59 @@ def test_evaluate_real_part_is_the_sampler_formula(monkeypatch):
     assert np.array_equal(re, re_log2cosh(theta))
 
 
-def test_evaluate_raises_at_a_zero_of_cosh():
-    # theta = i pi/2: 2cosh theta = 0, log psi = -inf
-    p = RbmParams(a=np.zeros(1, complex), b=np.array([0.5j * np.pi]), w=np.zeros((1, 1), complex))
+def test_evaluate_raises_on_a_non_finite_kernel_value(monkeypatch):
+    import rbmqst.rbm as rbm
+    original = rbm._log2cosh_tanh
+
+    def failing(x, y):
+        re, im, tanh = original(x, y)
+        return re - np.inf, im, tanh
+
+    monkeypatch.setattr(rbm, "_log2cosh_tanh", failing)
     with pytest.raises(NumericalError):
-        evaluate(p, np.ones((1, 1)))
+        evaluate(init_params(2, 2, np.random.default_rng(0)), all_configs(2))
+
+
+# theta = x + iy where cosh theta is 0 or nearly so, and the value of
+# Re log 2cosh theta = log(4 (sinh^2 x + cos^2 y)) / 2 there
+NEAR_ZEROS_OF_COSH = [(0.0, np.pi / 2), (6.7e-10, -(np.pi / 2 - 1.2e-9))] + [
+    (d, np.pi / 2 + d) for d in (1e-2, 1e-4, 1e-8)]
+
+
+def _re_log2cosh_reference(x, y):
+    return 0.5 * math.log(4.0 * (math.sinh(x) ** 2 + math.cos(y) ** 2))
+
+
+def test_evaluate_is_accurate_near_the_zeros_of_cosh():
+    for x, y in NEAR_ZEROS_OF_COSH:
+        p = RbmParams(a=np.zeros(1, complex), b=np.array([complex(x, y)]),
+                      w=np.zeros((1, 1), complex))
+        log_psi = evaluate(p, np.ones((1, 1))).log_psi[0]
+        assert_allclose(log_psi.real, _re_log2cosh_reference(x, y), rtol=1e-14)
+    assert _re_log2cosh_reference(0.0, np.pi / 2) == pytest.approx(-36.6387, abs=1e-4)
+    assert _re_log2cosh_reference(6.7e-10, -(np.pi / 2 - 1.2e-9)) == pytest.approx(-19.7, abs=0.05)
+
+
+def test_re_log2cosh_is_finite_for_finite_theta():
+    y = np.concatenate([np.pi / 2 * np.arange(-8, 9), [1e-300, 1e22, 1e300, -1e300]])
+    x = np.array([0.0, 5e-324, 1e-300, 1e-8, 20.0, 400.0, 1e300])
+    theta = (x[:, None] + 1j * y).ravel()
+    re = re_log2cosh(np.concatenate([theta, -theta]))
+    assert np.all(np.isfinite(re))
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_blocked_evaluation_matches_row_by_row(blocks, extra):
+    # row counts 1, B - 1, B, B + 1 and 3B + 5 around the block of B rows
+    m = 20
+    n = blocks * (rbm_module.BLOCK_ELEMENTS // m) + extra
+    rng = np.random.default_rng(n)
+    p = init_params(12, m, rng, std=0.5)
+    configs = 1.0 - 2.0 * rng.integers(0, 2, size=(n, 12))
+    batch = evaluate(p, configs)
+    rows = [evaluate(p, v) for v in configs]
+    assert_allclose(batch.log_psi, [r.log_psi[0] for r in rows], rtol=1e-12)
+    assert_allclose(batch.tanh, np.concatenate([r.tanh for r in rows]), rtol=1e-12)
 
 
 def test_parameter_validation():

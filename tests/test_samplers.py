@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,18 @@ def test_autocorr_time_ar1():
         x[i] = 0.9 * x[i - 1] + eps[i]
     tau = integrated_autocorr_time(x)
     assert 14.0 < tau < 24.0
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (16, 64), (16, 256), (7, 33), (64, 4096)])
+def test_autocovariance_rows_equal_one_fft_per_row(shape):
+    def one_row(x):
+        x = x - x.mean()
+        nfft = 1 << (2 * x.size - 1).bit_length()
+        f = np.fft.rfft(x, nfft)
+        return np.fft.irfft(f * np.conj(f), nfft)[:x.size].real / x.size
+
+    x = np.random.default_rng(shape[1]).normal(size=shape).cumsum(axis=1)
+    assert np.array_equal(samplers._autocovariance(x), [one_row(row) for row in x])
 
 
 def test_autocorr_time_floor():
@@ -304,9 +317,12 @@ def test_re_log2cosh_matches_complex_form():
     z = rng.uniform(-600.0, 600.0, 4000) + 1j * rng.uniform(-10.0, 10.0, 4000)
     z = np.concatenate([z, rng.normal(size=1000) + 1j * rng.normal(size=1000)])
     assert_allclose(re_log2cosh(z), np.log(2 * np.cosh(z)).real, rtol=1e-14, atol=1e-12)
-    # cosh vanishes at i pi/2: the real form gives the exact -inf
-    with np.errstate(divide="ignore"):
-        assert re_log2cosh(np.array([0.5j * np.pi]))[0] == -np.inf
+    # no cancellation at or near the zeros of cosh, where the value is
+    # log(4 (sinh^2 x + cos^2 y)) / 2
+    points = [(0.0, np.pi / 2), (6.7e-10, -(np.pi / 2 - 1.2e-9))]
+    for x, y in points + [(d, np.pi / 2 + d) for d in (1e-2, 1e-4, 1e-8)]:
+        expected = 0.5 * math.log(4.0 * (math.sinh(x) ** 2 + math.cos(y) ** 2))
+        assert_allclose(re_log2cosh(np.array([complex(x, y)]))[0], expected, rtol=1e-14)
 
 
 def test_local_flip_tracked_log_psi_does_not_drift():
