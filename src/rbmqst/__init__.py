@@ -27,27 +27,22 @@ from .oracle import (
 from .rbm import (
     Partition,
     RbmParams,
-    amplitude_matrix,
     contract,
     evaluate,
     exact_density_matrix,
     init_params,
     load_checkpoint,
-    log_amplitude,
     log_amplitudes,
     pack_parameters,
     save_checkpoint,
     unpack_parameters,
-    zero_params,
 )
 from .samplers import (
     PROPOSALS,
     SampleSet,
     SamplerConfig,
-    SurrogateParams,
     derive_seed,
     exact_target_distribution,
-    fit_surrogate,
     integrated_autocorr_time,
     mh_sample,
     sample_replicas,
@@ -59,7 +54,6 @@ from .estimators import (
     estimate_observable,
     estimate_renyi_n,
     estimate_swap,
-    required_samples,
     vne_coefficients,
     vne_from_powers,
 )

@@ -383,11 +383,3 @@ def entropy_terms(reps: Replicas, n_c: int | None) -> tuple[float, list, bool]:
         pairs += [(b, -alpha[m - 1] / LN2 * c) for b, c in pairs_m]
     return vne_bits_from_raw_powers(powers, n_c), pairs, False
 
-
-def required_samples(variance: float, epsilon: float) -> int:
-    """N_s = ceil(Var/eps^2), at least 1."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    if variance < 0:
-        raise ValidationError("variance must be nonnegative")
-    return max(1, math.ceil(variance / epsilon**2))

@@ -34,7 +34,7 @@ from .rbm import (
     pack_parameters,
     unpack_parameters,
 )
-from .samplers import SamplerConfig, derive_seed, fit_surrogate, sample_replicas
+from .samplers import SamplerConfig, derive_seed, sample_replicas
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,8 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
           opt: OptimizerConfig, sampler: SamplerConfig) -> tuple[RbmParams, TrainingTrace]:
     """Run the MaxEnt training loop; returns final parameters and the trace.
 
-    Per epoch: (optionally) refresh the surrogate, draw replica streams,
-    estimate entropy and all constrained observables from them, assemble
+    Per epoch: draw replica streams, estimate entropy and all constrained
+    observables from them, assemble
     grad C = -grad S + sum_i 2 xi_i r_i grad<O_i>, update (norm-clipped,
     magnitude-clipped), grow xi per schedule, append a trace record.
     With entropy_mode = renyi2_then_vne the entropy term switches to the
@@ -257,20 +257,10 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
     x = pack_parameters(params)
     adam = _Adam(x.size, opt.learning_rate) if opt.method == "adaptive-moment" else None
     n_vne = max(1, round(0.1 * opt.epochs)) if opt.entropy_mode == "renyi2_then_vne" else 0
-    surrogate_rng = np.random.default_rng(derive_seed(opt.seed, 0xF17))
-    fit_batch = None
-    if sampler.proposal == "SurrogateTrotter":
-        fit_batch = 1.0 - 2.0 * surrogate_rng.integers(
-            0, 2, size=(min(256, opt.samples_per_epoch), params.n_v)).astype(float)
-
     ends = None  # the last sampled epoch's chain end states
     for epoch in range(opt.epochs):
         vne_phase = epoch >= opt.epochs - n_vne
         xis = np.array([schedule.at(c.xi, epoch) for c in constraints])
-        surrogate = None
-        if sampler.proposal == "SurrogateTrotter":
-            surrogate = fit_surrogate(params, fit_batch)
-
         try:
             if opt.exact_sum:
                 reps = replicas(params, partition, None, 2, exact_sum=True)
@@ -282,12 +272,10 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
                 cfg = replace(sampler, n_samples=opt.samples_per_epoch,
                               seed=derive_seed(opt.seed, 0x45504F43 + epoch),
                               burn_in=sampler.burn_in if ends is None else sampler.burn_in // 8)
-                streams = sample_replicas(params, cfg, k, surrogate, start=ends)
+                streams = sample_replicas(params, cfg, k, start=ends)
                 ends = np.concatenate([s.chain_view()[:, -1] for s in streams])
                 acceptance = float(np.mean([s.diagnostics["acceptance_rate"] for s in streams]))
                 autocorr = max(s.diagnostics["autocorr_time"] for s in streams)
-                if sampler.proposal == "SurrogateTrotter":
-                    fit_batch = streams[0].spins[:min(256, streams[0].n_samples)]
                 reps = replicas(params, partition, streams, k)
             s_bits, residuals, grad_total, floored = _penalty_terms(
                 params, partition, constraints, xis, reps, opt.vne_cutoff if vne_phase else None)

@@ -107,11 +107,6 @@ def init_params(n_v: int, m: int, rng: np.random.Generator,
     return RbmParams(a=draw(n_v), b=draw(m), w=draw(n_v, m), beta=beta)
 
 
-def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
-    return RbmParams(a=np.zeros(n_v, complex), b=np.zeros(m, complex),
-                     w=np.zeros((n_v, m), complex), beta=beta)
-
-
 # ---------------------------------------------------------------------------
 # amplitudes
 
@@ -187,10 +182,6 @@ def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
 def log_amplitudes(params: RbmParams, configs: np.ndarray) -> np.ndarray:
     """Vectorized log psi over rows of configs (shape (N, n_v))."""
     return evaluate(params, configs).log_psi
-
-
-def log_amplitude(params: RbmParams, config: np.ndarray) -> complex:
-    return complex(log_amplitudes(params, np.asarray(config)[None, :])[0])
 
 
 def amplitude_matrix(params: RbmParams, partition: Partition,

@@ -53,16 +53,14 @@ from .rbm import (
 )
 from .samplers import (
     PROPOSALS,
-    TROTTER_CAP,
     SamplerConfig,
     derive_seed,
-    fit_surrogate,
     mh_sample,
     sample_replicas,
     exact_target_distribution,
     tv_distance,
 )
-from .spins import all_configs, configs_to_indices
+from .spins import configs_to_indices
 
 OUTPUT_ROOT_ENV = "RBMQST_OUTPUT_ROOT"
 
@@ -96,11 +94,9 @@ class ExperimentSpec:
             raise ValidationError("sweep must be >= 1")
         check_cap(self.n_sys + self.n_env_target)
         # Sampled training never enumerates the model's configurations; the
-        # exact sum and the dense Trotter proposal matrix do.
+        # exact sum does.
         if self.optimizer.exact_sum:
             check_cap(self.n_sys + self.n_env_model)
-        if self.sampler.proposal == "SurrogateTrotter":
-            check_cap(self.n_sys + self.n_env_model, TROTTER_CAP)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -246,6 +242,7 @@ def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
         "status": trace.status,
         "message": trace.message,
         "clip_events": trace.clip_events,
+        "entropy_floor_events": trace.entropy_floor_events,
     }
 
 
@@ -385,23 +382,21 @@ def cmd_gradcheck(sizes=(2, 1, 2), seed: int = 0, h: float = 1e-5,
 
 def cmd_bench_sampler(spec: ExperimentSpec, outdir: Path | None = None) -> dict:
     """TV distance to the exact |psi|^2 law, acceptance rate and
-    autocorrelation time for every proposal kind on one RBM instance."""
+    autocorrelation time of the LocalFlip and Uniform proposals on one RBM
+    instance."""
     outdir = resolve_outdir(spec) if outdir is None else Path(outdir)
     partition = Partition(n_sys=spec.n_sys, n_env=spec.n_env_model)
     check_cap(partition.n_v)
     rng = np.random.default_rng(spec.optimizer.seed)
     params = init_params(partition.n_v, spec.m, rng, std=0.3)
     exact = exact_target_distribution(params)
-    surrogate = fit_surrogate(params, all_configs(partition.n_v))
     results = []
     for proposal in PROPOSALS:
-        cfg = replace(spec.sampler, proposal=proposal)
-        sample_set = mh_sample(params, cfg, surrogate if proposal == "SurrogateTrotter" else None)
+        sample_set = mh_sample(params, replace(spec.sampler, proposal=proposal))
         counts = np.bincount(configs_to_indices(sample_set.spins), minlength=2**partition.n_v)
         diag = dict(sample_set.diagnostics)
         diag["tv_distance_if_exact_available"] = tv_distance(counts / counts.sum(), exact)
         results.append(diag)
-    doc = {"n_v": partition.n_v, "m": spec.m, "surrogate_residual": surrogate.residual,
-           "proposals": results}
+    doc = {"n_v": partition.n_v, "m": spec.m, "proposals": results}
     _write_json(outdir / "bench.json", doc)
     return doc

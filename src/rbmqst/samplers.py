@@ -1,12 +1,8 @@
-"""Metropolis-Hastings sampling from |psi|^2 with pluggable proposals.
+"""Metropolis-Hastings sampling from |psi|^2.
 
-Proposals:
-- LocalFlip: flip one uniformly chosen spin (symmetric).
-- Uniform: resample the whole configuration uniformly (symmetric).
-- SurrogateTrotter: classically simulated Trotterized evolution of a
-  surrogate Ising Hamiltonian fitted to the current RBM distribution;
-  the proposal matrix q(v'|v) = |<v'|U|v>|^2 is precomputed densely and
-  the full asymmetric MH ratio is applied.
+Proposals (both symmetric):
+- LocalFlip: flip one uniformly chosen spin.
+- Uniform: resample the whole configuration uniformly.
 
 All chains of a call run in one vectorized loop. They form groups of
 equal size, each drawing from its own seeded generator in a fixed order, so
@@ -19,8 +15,7 @@ theta = beta*(b + W^T v), the per-unit Re log 2cosh theta (rbm.re_log2cosh,
 the expression rbm.evaluate uses) and log|psi| of its state, so a LocalFlip
 step costs O(m) per chain (the look-up tables of
 Carleo & Troyer, Science 355, 602, 2017); Uniform proposals evaluate the
-whole proposed configuration, and SurrogateTrotter looks log|psi| up over
-the enumeration its proposal matrix already needs.
+whole proposed configuration.
 """
 
 import math
@@ -31,14 +26,9 @@ import numpy as np
 from .errors import DenseCapError, EstimationError, ValidationError
 from .oracle import DENSE_CAP
 from .rbm import RbmParams, log_amplitudes, re_log2cosh
-from .spins import all_configs, configs_to_indices
+from .spins import all_configs
 
-PROPOSALS = ("LocalFlip", "Uniform", "SurrogateTrotter")
-
-# The Trotter proposal's dense 2^n_v x 2^n_v complex matrices peak at about
-# 269 MB for 11 visible units and grow 4x per unit (~4.3 GB at 13), so the
-# proposal is refused above 12 before anything is allocated.
-TROTTER_CAP = 12
+PROPOSALS = ("LocalFlip", "Uniform")
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,35 +47,6 @@ def derive_seed(base: int, k: int) -> int:
     started at `base` (additive, so distinct (base, k) pairs do not collide
     the way an XOR mix would for neighbouring bases)."""
     return splitmix64((int(base) + int(k) * 0x9E3779B97F4A7C15) & _MASK64)
-
-
-@dataclass(frozen=True)
-class SurrogateParams:
-    """Ising surrogate H_sur = sum_i l_i s_i + sum_{i<j} J_ij s_i s_j plus the
-    Trotterized-evolution knobs (tau, gamma, n_trot)."""
-
-    l: np.ndarray
-    j: np.ndarray
-    tau: float = 2.0
-    gamma: float = 0.6
-    n_trot: int = 8
-    residual: float = 0.0
-    ridge_fallback: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", np.asarray(self.l, dtype=float))
-        object.__setattr__(self, "j", np.asarray(self.j, dtype=float))
-        n = self.l.size
-        if self.j.shape != (n, n):
-            raise ValidationError("J must be n_v x n_v")
-        if np.max(np.abs(self.j - self.j.T), initial=0.0) > 1e-12:
-            raise ValidationError("J must be symmetric")
-        if np.max(np.abs(np.diagonal(self.j)), initial=0.0) != 0.0:
-            raise ValidationError("J must have zero diagonal")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValidationError("gamma must lie in [0, 1]")
-        if self.tau <= 0 or self.n_trot < 1:
-            raise ValidationError("tau must be positive and n_trot >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,65 +91,6 @@ class SampleSet:
 
     def chain_view(self) -> np.ndarray:
         return self.spins.reshape(self.n_chains, self.chain_len, -1)
-
-
-# ---------------------------------------------------------------------------
-# surrogate fit and Trotterized proposal matrix
-
-def fit_surrogate(params: RbmParams, fit_batch: np.ndarray, tau: float = 2.0,
-                  gamma: float = 0.6, n_trot: int = 8) -> SurrogateParams:
-    """Least-squares fit of log|psi|^2 by const + l.s + sum_{i<j} J_ij s_i s_j
-    over the batch. Falls back to a ridge-regularized solve (flagged) when
-    the feature matrix is rank deficient."""
-    batch = np.atleast_2d(np.asarray(fit_batch, dtype=float))
-    if batch.size == 0:
-        raise ValidationError("fit batch must be nonempty")
-    n_v = params.n_v
-    if batch.shape[1] != n_v:
-        raise ValidationError("fit batch width does not match n_v")
-    iu, ju = np.triu_indices(n_v, k=1)
-    x = np.concatenate(
-        [np.ones((batch.shape[0], 1)), batch, batch[:, iu] * batch[:, ju]], axis=1)
-    y = 2.0 * log_amplitudes(params, batch).real
-    sol, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    ridge = rank < x.shape[1]
-    if ridge:
-        gram = x.T @ x
-        lam = 1e-8 * max(np.trace(gram) / x.shape[1], 1.0)
-        sol = np.linalg.solve(gram + lam * np.eye(x.shape[1]), x.T @ y)
-    resid = float(np.sqrt(np.mean((x @ sol - y) ** 2)))
-    l = sol[1:1 + n_v]
-    j = np.zeros((n_v, n_v))
-    j[iu, ju] = sol[1 + n_v:]
-    j = j + j.T
-    return SurrogateParams(l=l, j=j, tau=tau, gamma=gamma, n_trot=n_trot,
-                           residual=resid, ridge_fallback=ridge)
-
-
-def ising_energies(surrogate: SurrogateParams, configs: np.ndarray) -> np.ndarray:
-    configs = np.atleast_2d(np.asarray(configs, dtype=float))
-    quad = 0.5 * np.einsum("ki,ij,kj->k", configs, surrogate.j, configs)
-    return configs @ surrogate.l + quad
-
-
-def trotter_proposal_matrix(surrogate: SurrogateParams, cap: int = TROTTER_CAP) -> np.ndarray:
-    """Row-stochastic q(v'|v) = |<v'|U|v>|^2 for U = [exp(-i gamma H_sur dt)
-    exp(-i (1-gamma) H_x dt)]^n_trot with dt = tau/n_trot, H_x = sum_i X_i."""
-    n_v = surrogate.l.size
-    if n_v > cap:
-        raise DenseCapError(f"SurrogateTrotter proposal over {n_v} visible units "
-                            f"exceeds its cap {cap}")
-    dt = surrogate.tau / surrogate.n_trot
-    phases = np.exp(-1j * surrogate.gamma * dt * ising_energies(surrogate, all_configs(n_v)))
-    phi = (1.0 - surrogate.gamma) * dt
-    rx = np.array([[np.cos(phi), -1j * np.sin(phi)],
-                   [-1j * np.sin(phi), np.cos(phi)]])
-    mixer = np.array([[1.0 + 0j]])
-    for _ in range(n_v):
-        mixer = np.kron(mixer, rx)
-    step = phases[:, None] * mixer
-    u = np.linalg.matrix_power(step, surrogate.n_trot)
-    return np.abs(u.T) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +148,7 @@ def _chain_state(params: RbmParams, spins: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
-               q: np.ndarray | None, start: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Metropolis-Hastings loop over config.n_chains chains in
     len(seeds) equal groups; group r draws from default_rng(seeds[r]) in the
     order of a lone group (start, retries, then per step the proposal draws
@@ -265,40 +166,23 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
     def draw(rng, count):
         return 1.0 - 2.0 * rng.integers(0, 2, size=(count, n_v)).astype(float)
 
-    if q is None:
-        def state(spins):
-            return (spins, *_chain_state(params, spins))
-    else:
-        # the proposal matrix already enumerates every configuration, so
-        # log|psi| is looked up by basis index instead of evaluated per step
-        configs_table = all_configs(n_v)
-        lp_table = _chain_state(params, configs_table)[2]
-        q_cum = np.cumsum(q, axis=1)
-
-        def state(spins):
-            idx = configs_to_indices(spins)
-            return spins, idx, lp_table[idx]
-
     def begin(rng, rows):
         spins = draw(rng, group) if rows is None else rows.copy()
         for _ in range(100):
-            current = state(spins)
-            bad = ~np.isfinite(current[-1])
+            theta, ell, lp = _chain_state(params, spins)
+            bad = ~np.isfinite(lp)
             if not bad.any():
-                return current
+                return spins, theta, ell, lp
             spins[bad] = draw(rng, int(bad.sum()))
         raise EstimationError("could not find a start configuration with nonzero amplitude")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         starts = [None] * len(rngs) if start is None else np.split(start, len(rngs))
-        spins, *extra, lp = (np.concatenate(part) for part in zip(*map(begin, rngs, starts)))
+        spins, theta, ell, lp = (np.concatenate(part) for part in zip(*map(begin, rngs, starts)))
         rows = np.arange(config.n_chains)
         if proposal == "LocalFlip":
-            theta, ell = extra
             w2 = 2.0 * beta * params.w
             a2 = 2.0 * beta * params.a.real
-        elif proposal == "SurrogateTrotter":
-            (idx,) = extra
 
         def step():
             if proposal == "LocalFlip":
@@ -308,19 +192,13 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
                 ell_p = re_log2cosh(theta_p)
                 delta = (ell_p - ell).sum(axis=1) - s * a2[sites]
                 log_alpha = 2.0 * delta
-            elif proposal == "Uniform":
+            else:
                 # evaluated per group: a matmul's rounding can depend on its
                 # row count, and a group must not depend on the others
                 props = [draw(rng, group) for rng in rngs]
                 prop = np.concatenate(props)
                 lp_p = np.concatenate([_chain_state(params, x)[2] for x in props])
                 log_alpha = 2.0 * (lp_p - lp)
-            else:
-                u = np.concatenate([rng.random(group) for rng in rngs])
-                prop_idx = np.minimum((q_cum[idx] <= u[:, None]).sum(axis=1), 2**n_v - 1)
-                lp_p = lp_table[prop_idx]
-                log_alpha = (2.0 * (lp_p - lp) + np.log(q[prop_idx, idx])
-                             - np.log(q[idx, prop_idx]))
             # start states are finite and a -inf or NaN proposal is never
             # accepted, so log|psi| stays finite along every chain
             accept = np.log(np.concatenate([rng.random(group) for rng in rngs])) < log_alpha
@@ -329,11 +207,8 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
                 np.copyto(theta, theta_p, where=accept[:, None])
                 np.copyto(ell, ell_p, where=accept[:, None])
                 np.add(lp, delta, out=lp, where=accept)
-            elif proposal == "Uniform":
-                np.copyto(spins, prop, where=accept[:, None])
-                np.copyto(lp, lp_p, where=accept)
             else:
-                np.copyto(idx, prop_idx, where=accept)
+                np.copyto(spins, prop, where=accept[:, None])
                 np.copyto(lp, lp_p, where=accept)
             return accept
 
@@ -345,13 +220,12 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
         for k in range(chain_len):
             for _ in range(config.thinning):
                 accepted += step()
-            kept[:, k] = spins if q is None else configs_table[idx]
+            kept[:, k] = spins
             kept_lp[:, k] = lp
     return kept, kept_lp, accepted
 
 
-def mh_sample(params: RbmParams, config: SamplerConfig,
-              surrogate: SurrogateParams | None = None, *,
+def mh_sample(params: RbmParams, config: SamplerConfig, *,
               seeds=None, start=None) -> SampleSet:
     """Metropolis-Hastings chains targeting |psi|^2.
 
@@ -369,8 +243,6 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
     instead of drawing their start states, and group r from its own rows,
     so a lone call on group r's rows equals group r of a joint call.
     """
-    if (config.proposal == "SurrogateTrotter") != (surrogate is not None):
-        raise ValidationError("surrogate must be given exactly when proposal is SurrogateTrotter")
     lone = seeds is None
     seeds = (config.seed,) if lone else tuple(seeds)
     if not seeds or config.n_chains % len(seeds):
@@ -380,13 +252,8 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
         start = np.asarray(start, dtype=float)
         if start.shape != (config.n_chains, n_v) or not np.all(np.abs(start) == 1.0):
             raise ValidationError(f"start must be a ({config.n_chains}, {n_v}) array of +-1 states")
-    q = None
-    if surrogate is not None:
-        if surrogate.l.size != n_v:
-            raise ValidationError("surrogate size does not match n_v")
-        q = trotter_proposal_matrix(surrogate)
 
-    kept, kept_lp, accepted = _mh_chains(params, config, seeds, q, start)
+    kept, kept_lp, accepted = _mh_chains(params, config, seeds, start)
     group = config.n_chains // len(seeds)
     chain_len = kept.shape[1]
     moves = group * chain_len * config.thinning
@@ -407,8 +274,7 @@ def mh_sample(params: RbmParams, config: SamplerConfig,
                      chain_len=chain_len, diagnostics=diagnostics)
 
 
-def sample_replicas(params: RbmParams, config: SamplerConfig, k: int,
-                    surrogate: SurrogateParams | None = None, *,
+def sample_replicas(params: RbmParams, config: SamplerConfig, k: int, *,
                     start=None) -> list[SampleSet]:
     """k independent equally long sample streams from one joint
     Metropolis-Hastings run of k * n_chains chains; replica r samples as
@@ -420,40 +286,10 @@ def sample_replicas(params: RbmParams, config: SamplerConfig, k: int,
         raise ValidationError("replica count must be >= 2")
     joint = mh_sample(params, replace(config, n_samples=k * config.n_samples,
                                       n_chains=k * config.n_chains),
-                      surrogate, seeds=[derive_seed(config.seed, r) for r in range(k)],
+                      seeds=[derive_seed(config.seed, r) for r in range(k)],
                       start=start)
     rows = joint.n_samples // k
     return [SampleSet(spins=joint.spins[r * rows:(r + 1) * rows], n_chains=config.n_chains,
                       chain_len=joint.chain_len, diagnostics=diag)
             for r, diag in enumerate(joint.diagnostics["streams"])]
 
-
-def transition_matrix(params: RbmParams, proposal: str,
-                      surrogate: SurrogateParams | None = None) -> np.ndarray:
-    """Explicit MH transition matrix on the full configuration space
-    (brute-force detailed-balance checks; small n_v only)."""
-    n_v = params.n_v
-    if n_v > 6:
-        raise DenseCapError("transition_matrix is a brute-force tool; n_v <= 6 only")
-    k = 2**n_v
-    configs = all_configs(n_v)
-    pi = exact_target_distribution(params)
-    if proposal == "LocalFlip":
-        ham = (configs[:, None, :] != configs[None, :, :]).sum(axis=2)
-        q = np.where(ham == 1, 1.0 / n_v, 0.0)
-    elif proposal == "Uniform":
-        q = np.full((k, k), 1.0 / k)
-    elif proposal == "SurrogateTrotter":
-        if surrogate is None:
-            raise ValidationError("surrogate required")
-        q = trotter_proposal_matrix(surrogate)
-    else:
-        raise ValidationError(f"proposal must be one of {PROPOSALS}")
-    flow = pi[:, None] * q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.minimum(1.0, flow.T / flow)
-    alpha[~np.isfinite(alpha)] = 1.0
-    t = q * alpha
-    np.fill_diagonal(t, 0.0)
-    np.fill_diagonal(t, 1.0 - t.sum(axis=1))
-    return t

@@ -1,0 +1,40 @@
+"""Brute-force reference helpers shared by the test modules."""
+
+import numpy as np
+
+from rbmqst.rbm import RbmParams, log_amplitudes
+from rbmqst.samplers import exact_target_distribution
+from rbmqst.spins import all_configs
+
+
+def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
+    return RbmParams(a=np.zeros(n_v, complex), b=np.zeros(m, complex),
+                     w=np.zeros((n_v, m), complex), beta=beta)
+
+
+def log_amplitude(params: RbmParams, config: np.ndarray) -> complex:
+    return complex(log_amplitudes(params, np.asarray(config)[None, :])[0])
+
+
+def transition_matrix(params: RbmParams, proposal: str) -> np.ndarray:
+    """Explicit MH transition matrix of a symmetric proposal on the full
+    configuration space (detailed-balance checks; n_v <= 6)."""
+    n_v = params.n_v
+    assert n_v <= 6, "brute-force tool"
+    k = 2**n_v
+    configs = all_configs(n_v)
+    pi = exact_target_distribution(params)
+    if proposal == "LocalFlip":
+        ham = (configs[:, None, :] != configs[None, :, :]).sum(axis=2)
+        q = np.where(ham == 1, 1.0 / n_v, 0.0)
+    else:
+        assert proposal == "Uniform", proposal
+        q = np.full((k, k), 1.0 / k)
+    flow = pi[:, None] * q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.minimum(1.0, flow.T / flow)
+    alpha[~np.isfinite(alpha)] = 1.0
+    t = q * alpha
+    np.fill_diagonal(t, 0.0)
+    np.fill_diagonal(t, 1.0 - t.sum(axis=1))
+    return t

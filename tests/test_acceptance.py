@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import transition_matrix, zero_params
 from rbmqst.estimators import (
     estimate_observable,
     estimate_renyi_n,
@@ -45,7 +46,6 @@ from rbmqst.rbm import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    zero_params,
 )
 from rbmqst.runner import ExperimentSpec, cmd_gradcheck, cmd_train
 from rbmqst.samplers import (
@@ -53,13 +53,11 @@ from rbmqst.samplers import (
     SamplerConfig,
     derive_seed,
     exact_target_distribution,
-    fit_surrogate,
     mh_sample,
     sample_replicas,
-    transition_matrix,
     tv_distance,
 )
-from rbmqst.spins import all_configs, configs_to_indices
+from rbmqst.spins import configs_to_indices
 
 CHECKPOINTS: list[Path] = []
 REPORT_LINES: list[str] = []
@@ -169,8 +167,7 @@ def test_criterion_4_sampler_correctness():
                         n_chains=32, seed=17)
     tvs = {}
     for proposal in PROPOSALS:
-        sur = fit_surrogate(params, all_configs(6)) if proposal == "SurrogateTrotter" else None
-        s = mh_sample(params, replace(cfg, proposal=proposal), sur)
+        s = mh_sample(params, replace(cfg, proposal=proposal))
         counts = np.bincount(configs_to_indices(s.spins), minlength=64)
         tvs[proposal] = tv_distance(counts / counts.sum(), pi)
 
@@ -178,8 +175,7 @@ def test_criterion_4_sampler_correctness():
     pi_small = exact_target_distribution(small)
     db = {}
     for proposal in PROPOSALS:
-        sur = fit_surrogate(small, all_configs(4)) if proposal == "SurrogateTrotter" else None
-        t = transition_matrix(small, proposal, sur)
+        t = transition_matrix(small, proposal)
         flow = pi_small[:, None] * t
         db[proposal] = float(np.abs(flow - flow.T).max())
     dt = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import log_amplitude
 from rbmqst.errors import EstimationError, ValidationError
 from rbmqst import spins
 from rbmqst.estimators import (
@@ -12,7 +13,6 @@ from rbmqst.estimators import (
     pauli_action,
     renyi_terms,
     replicas,
-    required_samples,
     vne_bits_from_raw_powers,
     vne_coefficients,
     vne_from_powers,
@@ -30,7 +30,6 @@ from rbmqst.rbm import (
     RbmParams,
     exact_density_matrix,
     init_params,
-    log_amplitude,
 )
 from rbmqst.samplers import SamplerConfig, mh_sample, sample_replicas
 from rbmqst.spins import all_configs, configs_to_indices
@@ -276,12 +275,3 @@ def test_vne_raw_powers_skips_range_check():
     # evaluates the same polynomial without rejecting them
     noisy = np.array([1.02, 0.97])
     assert np.isfinite(vne_bits_from_raw_powers(noisy, 3))
-
-
-def test_required_samples():
-    assert required_samples(1.0, 0.01) == 10000
-    assert required_samples(0.0, 0.1) == 1
-    with pytest.raises(ValidationError):
-        required_samples(1.0, 0.0)
-    with pytest.raises(ValidationError):
-        required_samples(-1.0, 0.1)

@@ -270,8 +270,8 @@ def test_sampled_train_continues_chains_across_epochs(monkeypatch):
     calls = []
     original = optimizer.sample_replicas
 
-    def recorded(params, cfg, k, surrogate=None, *, start=None):
-        streams = original(params, cfg, k, surrogate, start=start)
+    def recorded(params, cfg, k, *, start=None):
+        streams = original(params, cfg, k, start=start)
         ends = np.concatenate([s.chain_view()[:, -1] for s in streams])
         calls.append((cfg.burn_in, None if start is None else np.array(start), ends))
         return streams

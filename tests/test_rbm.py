@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rbmqst.rbm as rbm_module
+from helpers import log_amplitude, zero_params
 from rbmqst.errors import DenseCapError, NumericalError, ValidationError
 from rbmqst.oracle import entropy_exact
 from rbmqst.rbm import (
@@ -20,13 +21,11 @@ from rbmqst.rbm import (
     exact_density_matrix,
     init_params,
     load_checkpoint,
-    log_amplitude,
     log_amplitudes,
     pack_parameters,
     re_log2cosh,
     save_checkpoint,
     unpack_parameters,
-    zero_params,
 )
 from rbmqst.spins import all_configs, configs_to_indices, indices_to_configs
 

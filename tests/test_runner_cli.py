@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rbmqst.cli import load_spec, main
-from rbmqst.errors import DenseCapError, NumericalError, ValidationError
+from rbmqst.errors import NumericalError, ValidationError
 from rbmqst.optimizer import OptimizerConfig, XiSchedule
 from rbmqst.runner import (
     OUTPUT_ROOT_ENV,
@@ -18,7 +18,7 @@ from rbmqst.runner import (
     load_target,
     resolve_outdir,
 )
-from rbmqst.samplers import TROTTER_CAP, SamplerConfig
+from rbmqst.samplers import PROPOSALS, SamplerConfig
 
 
 def small_spec(**kwargs):
@@ -56,14 +56,17 @@ def test_spec_validation():
         ExperimentSpec.from_dict({"no_such_field": 1})
 
 
-def test_spec_refuses_trotter_above_its_cap(capsys):
-    trotter = SamplerConfig(proposal="SurrogateTrotter")
-    ExperimentSpec(n_sys=6, n_env_model=TROTTER_CAP - 6, sampler=trotter)
-    with pytest.raises(DenseCapError):
-        ExperimentSpec(n_sys=6, n_env_model=TROTTER_CAP - 5, sampler=trotter)
-    assert main(["train", "--set", "n_sys=6", "--set", f"n_env_model={TROTTER_CAP - 5}",
-                 "--set", "sampler.proposal=SurrogateTrotter"]) == 2
-    assert "validation error" in capsys.readouterr().err
+def test_cli_refuses_unknown_proposal_before_training(tmp_path, monkeypatch, capsys):
+    import rbmqst.runner as runner
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with an unknown proposal")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["train", "--set", "sampler.proposal=SurrogateTrotter"]) == 2
+    assert f"proposal must be one of {PROPOSALS}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_resolve_outdir(tmp_path, monkeypatch):
@@ -137,6 +140,8 @@ def test_train_single_run_outputs(tmp_path):
     assert report["s2_std_error_sampled"] > 0.0
     assert report["s2_bits_exact"] is not None
     assert report["entropy_bound_bits"] == 1.0
+    assert isinstance(report["entropy_floor_events"], int)
+    assert report["entropy_floor_events"] >= 0
     lines = (tmp_path / "trace.jsonl").read_text().splitlines()
     assert len(lines) == 6
     rec = json.loads(lines[0])
@@ -278,9 +283,9 @@ def test_bench_sampler(tmp_path):
     doc = cmd_bench_sampler(spec, tmp_path)
     assert (tmp_path / "bench.json").exists()
     assert doc["n_v"] == 3
-    assert len(doc["proposals"]) == 3
+    assert len(doc["proposals"]) == 2
     kinds = {d["proposal"] for d in doc["proposals"]}
-    assert kinds == {"LocalFlip", "Uniform", "SurrogateTrotter"}
+    assert kinds == {"LocalFlip", "Uniform"}
     for d in doc["proposals"]:
         assert 0.0 <= d["tv_distance_if_exact_available"] < 0.5
 
@@ -309,6 +314,24 @@ def test_cli_train_and_eval_roundtrip(tmp_path, capsys):
                  "--target", str(out / "target.json")])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+
+
+@pytest.mark.parametrize("proposal", PROPOSALS)
+def test_cli_trains_sampled_with_every_proposal(tmp_path, proposal):
+    # the report's final evaluation samples with the run's sampler settings
+    sets = ["n_sys=2", "n_env_target=1", "n_env_model=1", "m=1", "optimizer.epochs=3",
+            "optimizer.samples_per_epoch=64", "sampler.n_samples=64", "sampler.burn_in=16",
+            "sampler.n_chains=4", f"sampler.proposal={proposal}"]
+    argv = ["train", "--out", str(tmp_path / "run")]
+    for entry in sets:
+        argv += ["--set", entry]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["epochs_run"] == 3
+    assert all(se > 0.0 for se in report["sampled_std_errors"].values())
+    record = json.loads((tmp_path / "run" / "trace.jsonl").read_text().splitlines()[0])
+    assert 0.0 < record["acceptance_rate"] <= 1.0
 
 
 def test_cli_trains_sampled_model_above_dense_cap(tmp_path, capsys):

@@ -6,26 +6,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rbmqst.samplers as samplers
-from rbmqst.errors import DenseCapError, ValidationError
-from rbmqst.rbm import evaluate, init_params, re_log2cosh, zero_params
+from helpers import transition_matrix, zero_params
+from rbmqst.errors import ValidationError
+from rbmqst.rbm import evaluate, init_params, re_log2cosh
 from rbmqst.samplers import (
     PROPOSALS,
-    TROTTER_CAP,
     SamplerConfig,
-    SurrogateParams,
     derive_seed,
     exact_target_distribution,
-    fit_surrogate,
     integrated_autocorr_time,
-    ising_energies,
     mh_sample,
     sample_replicas,
     splitmix64,
-    transition_matrix,
-    trotter_proposal_matrix,
     tv_distance,
 )
-from rbmqst.spins import all_configs, configs_to_indices
+from rbmqst.spins import configs_to_indices
 
 
 # ---------------------------------------------------------------------------
@@ -44,78 +39,16 @@ def test_derive_seed_no_pairwise_collisions():
 
 
 # ---------------------------------------------------------------------------
-# configs and surrogate
+# configs
 
 def test_sampler_config_validation():
-    with pytest.raises(ValidationError):
-        SamplerConfig(proposal="Metropolis")
+    for proposal in ("Metropolis", "SurrogateTrotter"):
+        with pytest.raises(ValidationError, match="LocalFlip"):
+            SamplerConfig(proposal=proposal)
     with pytest.raises(ValidationError):
         SamplerConfig(n_samples=0)
     with pytest.raises(ValidationError):
         SamplerConfig(burn_in=-1)
-
-
-def test_surrogate_params_validation():
-    with pytest.raises(ValidationError):
-        SurrogateParams(l=np.zeros(2), j=np.array([[0.0, 1.0], [0.5, 0.0]]))  # asymmetric
-    with pytest.raises(ValidationError):
-        SurrogateParams(l=np.zeros(2), j=np.eye(2))  # nonzero diagonal
-    with pytest.raises(ValidationError):
-        SurrogateParams(l=np.zeros(2), j=np.zeros((2, 2)), gamma=1.5)
-
-
-def test_ising_energies_value():
-    l = np.array([0.5, -1.0])
-    j = np.array([[0.0, 0.25], [0.25, 0.0]])
-    s = SurrogateParams(l=l, j=j)
-    v = np.array([[1.0, 1.0], [1.0, -1.0]])
-    # E = l.v + 0.5 v J v: [0.5 - 1 + 0.25, 0.5 + 1 - 0.25]
-    assert_allclose(ising_energies(s, v), [-0.25, 1.25])
-
-
-def test_fit_surrogate_exact_for_visible_bias_model():
-    # with b = w = 0, log|psi|^2 is linear in the spins, so the quadratic
-    # surrogate must reproduce it exactly without the ridge fallback
-    p = zero_params(4, 2)
-    p = replace_params_a(p, np.array([0.3, -0.2, 0.1, 0.05], dtype=complex))
-    s = fit_surrogate(p, all_configs(4))
-    assert s.residual < 1e-10
-    assert not s.ridge_fallback
-    assert_allclose(s.l, [0.6, -0.4, 0.2, 0.1], atol=1e-10)
-    assert_allclose(s.j, 0.0, atol=1e-10)
-
-
-def replace_params_a(p, a):
-    from rbmqst.rbm import RbmParams
-    return RbmParams(a=a, b=p.b, w=p.w, beta=p.beta)
-
-
-def test_trotter_proposal_matrix_stochastic():
-    s = SurrogateParams(l=np.array([0.2, -0.1]), j=np.array([[0.0, 0.3], [0.3, 0.0]]))
-    q = trotter_proposal_matrix(s)
-    assert q.shape == (4, 4)
-    assert np.all(q >= -1e-15)
-    assert_allclose(q.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_trotter_cap_refuses_before_allocating(monkeypatch):
-    def no_enumeration(n):
-        raise AssertionError("enumerated configurations above the Trotter cap")
-
-    monkeypatch.setattr(samplers, "all_configs", no_enumeration)
-    n_v = TROTTER_CAP + 1
-    sur = SurrogateParams(l=np.zeros(n_v), j=np.zeros((n_v, n_v)))
-    with pytest.raises(DenseCapError):
-        trotter_proposal_matrix(sur)
-    with pytest.raises(DenseCapError):
-        mh_sample(zero_params(n_v, 1), SamplerConfig(proposal="SurrogateTrotter"), sur)
-
-
-def test_trotter_gamma_zero_is_pure_mixer():
-    # gamma = 0 leaves only transverse rotations: no dependence on the fields
-    s1 = SurrogateParams(l=np.array([5.0, -3.0]), j=np.zeros((2, 2)), gamma=0.0)
-    s2 = SurrogateParams(l=np.zeros(2), j=np.zeros((2, 2)), gamma=0.0)
-    assert_allclose(trotter_proposal_matrix(s1), trotter_proposal_matrix(s2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +131,10 @@ def test_mh_sample_reproducible():
     assert not np.array_equal(s1.spins, s3.spins)
 
 
-def test_mh_sample_requires_surrogate_consistency():
-    p = make_params()
-    with pytest.raises(ValidationError):
-        mh_sample(p, SamplerConfig(proposal="SurrogateTrotter"))  # missing surrogate
-    sur = fit_surrogate(p, all_configs(4))
-    with pytest.raises(ValidationError):
-        mh_sample(p, SamplerConfig(proposal="LocalFlip"), surrogate=sur)
-
-
 @pytest.mark.parametrize("proposal", PROPOSALS)
 def test_detailed_balance_brute_force(proposal):
     p = make_params(n_v=3, m=2, seed=4)
-    sur = fit_surrogate(p, all_configs(3)) if proposal == "SurrogateTrotter" else None
-    t = transition_matrix(p, proposal, sur)
+    t = transition_matrix(p, proposal)
     pi = exact_target_distribution(p)
     assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
     flow = pi[:, None] * t
@@ -222,10 +145,9 @@ def test_detailed_balance_brute_force(proposal):
 @pytest.mark.parametrize("proposal", PROPOSALS)
 def test_empirical_distribution_converges(proposal):
     p = make_params(n_v=4, m=3, seed=5, std=0.3)
-    sur = fit_surrogate(p, all_configs(4)) if proposal == "SurrogateTrotter" else None
     cfg = SamplerConfig(n_samples=60000, burn_in=500, thinning=1, n_chains=16, seed=3,
                         proposal=proposal)
-    s = mh_sample(p, cfg, sur)
+    s = mh_sample(p, cfg)
     counts = np.bincount(configs_to_indices(s.spins), minlength=16)
     assert tv_distance(counts / counts.sum(), exact_target_distribution(p)) < 0.03
 
@@ -248,16 +170,15 @@ def test_sample_replicas_equal_lone_streams(proposal, k):
     # and diagnostics of a lone run on that replica's seed, with drawn start
     # states and with given ones (each replica's own rows of them)
     p = make_params(n_v=5, m=3, seed=6, std=0.4)
-    sur = fit_surrogate(p, all_configs(5)) if proposal == "SurrogateTrotter" else None
     cfg = SamplerConfig(n_samples=64, burn_in=30, thinning=2, n_chains=4, seed=9,
                         proposal=proposal)
     given = 1.0 - 2.0 * np.random.default_rng(12).integers(0, 2, size=(k * 4, 5))
     for start in (None, given):
-        streams = sample_replicas(p, cfg, k, sur, start=start)
+        streams = sample_replicas(p, cfg, k, start=start)
         assert len(streams) == k
         for r, stream in enumerate(streams):
             rows = None if start is None else start[r * 4:(r + 1) * 4]
-            lone = mh_sample(p, replace(cfg, seed=derive_seed(cfg.seed, r)), sur, start=rows)
+            lone = mh_sample(p, replace(cfg, seed=derive_seed(cfg.seed, r)), start=rows)
             assert np.array_equal(stream.spins, lone.spins)
             assert (stream.n_chains, stream.chain_len) == (lone.n_chains, lone.chain_len)
             assert stream.diagnostics == lone.diagnostics
@@ -284,32 +205,12 @@ def test_malformed_start_is_refused_before_sampling(monkeypatch, start):
 
     p = make_params()
     monkeypatch.setattr(samplers, "_mh_chains", no_sampling)
-    monkeypatch.setattr(samplers, "trotter_proposal_matrix", no_sampling)
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
     cfg = SamplerConfig(n_samples=32, burn_in=4, n_chains=4)
     with pytest.raises(ValidationError):
         mh_sample(p, cfg, start=start)
-    sur = SurrogateParams(l=np.zeros(4), j=np.zeros((4, 4)))
-    with pytest.raises(ValidationError):
-        mh_sample(p, replace(cfg, proposal="SurrogateTrotter"), sur, start=start)
     with pytest.raises(ValidationError):  # k = 2 replicas need 2 * n_chains rows
         sample_replicas(p, cfg, 2, start=np.ones((4, 4)) if start.shape == (8, 4) else start)
-
-
-def test_sample_replicas_builds_trotter_matrix_once(monkeypatch):
-    calls = []
-    original = samplers.trotter_proposal_matrix
-
-    def counted(surrogate):
-        calls.append(1)
-        return original(surrogate)
-
-    monkeypatch.setattr(samplers, "trotter_proposal_matrix", counted)
-    p = make_params()
-    sur = fit_surrogate(p, all_configs(4))
-    sample_replicas(p, SamplerConfig(n_samples=32, burn_in=4, n_chains=4,
-                                     proposal="SurrogateTrotter"), 4, sur)
-    assert len(calls) == 1
 
 
 def test_re_log2cosh_matches_complex_form():
@@ -328,7 +229,7 @@ def test_re_log2cosh_matches_complex_form():
 def test_local_flip_tracked_log_psi_does_not_drift():
     p = init_params(20, 20, np.random.default_rng(4), std=0.3)
     cfg = SamplerConfig(n_samples=16 * 1000, burn_in=4000, n_chains=16, seed=2)  # 5,000 steps
-    kept, kept_lp, accepted = samplers._mh_chains(p, cfg, (cfg.seed,), None)
+    kept, kept_lp, accepted = samplers._mh_chains(p, cfg, (cfg.seed,))
     assert accepted.sum() > 0
     assert_allclose(kept_lp[:, -1], evaluate(p, kept[:, -1]).log_psi.real, rtol=0, atol=1e-9)
 
