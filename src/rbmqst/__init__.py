@@ -5,7 +5,6 @@ from .errors import (
     DenseCapError,
     EstimationError,
     InfeasibleTargetsError,
-    NonCommutingObservablesError,
     NumericalError,
     RbmQstError,
     ValidationError,
@@ -21,18 +20,17 @@ from .oracle import (
     random_circuit_state,
     random_pauli_strings,
     trace_distance,
-    trace_power,
     validate_density_matrix,
 )
 from .rbm import (
     Partition,
     RbmParams,
     contract,
+    enumerate_model,
     evaluate,
     exact_density_matrix,
     init_params,
     load_checkpoint,
-    log_amplitudes,
     pack_parameters,
     save_checkpoint,
     unpack_parameters,
@@ -42,7 +40,6 @@ from .samplers import (
     SampleSet,
     SamplerConfig,
     derive_seed,
-    exact_target_distribution,
     integrated_autocorr_time,
     mh_sample,
     sample_replicas,

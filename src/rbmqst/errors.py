@@ -15,11 +15,7 @@ class ValidationError(RbmQstError, ValueError):
 
 
 class DenseCapError(ValidationError):
-    """A dense-matrix operation was requested above the configured qubit cap."""
-
-
-class NonCommutingObservablesError(ValidationError):
-    """Gibbs MaxEnt solve requires a mutually commuting observable set."""
+    """A dense-matrix operation was requested above the DENSE_CAP qubit cap."""
 
 
 class NumericalError(RbmQstError, RuntimeError):

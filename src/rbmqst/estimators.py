@@ -2,7 +2,8 @@
 
 Every estimator has two modes: `sampled` (fed by samplers.mh_sample /
 sample_replicas output) and `exact_sum` (brute-force enumeration over all
-visible configurations, used as the oracle-comparable mode at small sizes).
+visible configurations by rbm.enumerate_model, used as the oracle-comparable
+mode at small sizes).
 Both are a WeightedBatch: the evaluated configurations with weights 1/N
 (samples) or normalized |psi|^2 (enumeration), averaged by one code path.
 
@@ -31,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DenseCapError, EstimationError, ValidationError
-from .oracle import DENSE_CAP, PauliString
-from .rbm import Batch, Partition, RbmParams, evaluate
+from .errors import EstimationError, ValidationError
+from .oracle import PauliString
+from .rbm import Batch, Partition, RbmParams, enumerate_model, evaluate, normalized_amplitudes
 from .samplers import SampleSet, integrated_autocorr_time
-from .spins import all_configs, configs_to_indices
+from .spins import configs_to_indices
 
 LN2 = math.log(2.0)
 
@@ -114,21 +115,17 @@ def _sampled_batch(params: RbmParams, samples) -> WeightedBatch:
                          n_chains, chain_len)
 
 
-def _exact_batch(params: RbmParams, partition: Partition, cap: int = DENSE_CAP) -> WeightedBatch:
+def _exact_batch(params: RbmParams, partition: Partition) -> WeightedBatch:
     if partition.n_v != params.n_v:
         raise ValidationError("partition does not match parameter shape")
-    if partition.n_v > cap:
-        raise DenseCapError(f"exact_sum over {partition.n_v} spins exceeds dense cap {cap}")
-    ev = evaluate(params, all_configs(partition.n_v))
-    p = np.exp(2.0 * (ev.log_psi.real - ev.log_psi.real.max()))
-    return WeightedBatch(ev, p / p.sum())
+    return WeightedBatch(*enumerate_model(params))
 
 
 def weighted_batch(params: RbmParams, partition: Partition, samples=None,
-                   exact_sum: bool = False, cap: int = DENSE_CAP) -> WeightedBatch:
+                   exact_sum: bool = False) -> WeightedBatch:
     """The batch an estimate averages over."""
     if exact_sum:
-        return _exact_batch(params, partition, cap)
+        return _exact_batch(params, partition)
     if samples is None:
         raise ValidationError("samples required unless exact_sum")
     return _sampled_batch(params, samples)
@@ -184,10 +181,9 @@ def observable_terms(params: RbmParams, partition: Partition, obs: PauliString,
 
 
 def estimate_observable(params: RbmParams, partition: Partition, obs: PauliString,
-                        samples=None, exact_sum: bool = False,
-                        cap: int = DENSE_CAP) -> EstimateResult:
+                        samples=None, exact_sum: bool = False) -> EstimateResult:
     """<O> as the |psi|^2-weighted mean of the local estimator."""
-    batch = weighted_batch(params, partition, samples, exact_sum, cap)
+    batch = weighted_batch(params, partition, samples, exact_sum)
     return batch.estimate(observable_terms(params, partition, obs, batch)[1].real)
 
 
@@ -249,8 +245,7 @@ def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]
     """
     if reps.exact:
         batch = reps.streams[0]
-        ns, ne = reps.partition.n_sys, reps.partition.n_env
-        v = (np.sqrt(batch.weights) * np.exp(1j * batch.ev.log_psi.imag)).reshape(2**ns, 2**ne)
+        v = normalized_amplitudes(batch.ev, batch.weights, reps.partition)
         rho = v @ v.conj().T
         ev = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
         value = float((ev**n).sum() / ev.sum() ** n)

@@ -2,24 +2,19 @@
 
 Small-scale exact engine: gate application, random circuit states, partial
 trace, Pauli expectations, entropies, and an exact maximum-entropy Gibbs
-solver for commuting observables. Everything here is brute force on dense
-arrays and is the ground truth the sampling estimators are tested against.
+solver for any Pauli observable set. Everything here is brute force on
+dense arrays and is the ground truth the sampling estimators are tested
+against.
 
-Capped at DENSE_CAP qubits by default; operations refuse above the cap
-rather than attempting anything clever.
+Capped at DENSE_CAP qubits; operations refuse above the cap rather than
+attempting anything clever.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DenseCapError,
-    InfeasibleTargetsError,
-    NonCommutingObservablesError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DenseCapError, InfeasibleTargetsError, NumericalError, ValidationError
 
 DENSE_CAP = 14
 
@@ -37,9 +32,9 @@ CNOT = np.array(
      [0, 0, 1, 0]], dtype=complex)
 
 
-def check_cap(qubits: int, cap: int = DENSE_CAP) -> None:
-    if qubits > cap:
-        raise DenseCapError(f"{qubits} qubits exceeds dense cap {cap}")
+def check_cap(qubits: int) -> None:
+    if qubits > DENSE_CAP:
+        raise DenseCapError(f"{qubits} qubits exceeds dense cap {DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,6 @@ class PauliString:
     @property
     def n_qubits(self) -> int:
         return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
 
     @property
     def is_diagonal(self) -> bool:
@@ -221,18 +212,9 @@ def pauli_expectation_exact(rho: np.ndarray, obs: PauliString) -> float:
     return float(np.clip(val.real, -1.0, 1.0))
 
 
-def _eigenvalues(rho: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    return np.clip(ev, 0.0, None)
-
-
-def trace_power(rho: np.ndarray, n: int) -> float:
-    return float(np.sum(_eigenvalues(rho) ** n))
-
-
 def entropy_exact(rho: np.ndarray, order) -> float:
     """Renyi-alpha (integer alpha >= 2) or von Neumann ("vne") entropy in bits."""
-    ev = _eigenvalues(rho)
+    ev = np.clip(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)), 0.0, None)
     if isinstance(order, str):
         if order != "vne":
             raise ValidationError(f"unknown entropy order {order!r}")
@@ -252,20 +234,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact MaxEnt (Gibbs) solver for commuting observables
-
-def _common_eigenbasis(mats: list[np.ndarray]) -> np.ndarray:
-    """Common eigenbasis of a commuting Hermitian family via a random
-    generic combination; retries with fresh weights on degeneracy trouble."""
-    rng = np.random.default_rng(1234)
-    for _ in range(8):
-        w = rng.standard_normal(len(mats))
-        _, u = np.linalg.eigh(sum(c * m for c, m in zip(w, mats)))
-        if all(np.max(np.abs(u.conj().T @ m @ u - np.diag(np.diagonal(u.conj().T @ m @ u)))) < 1e-8
-               for m in mats):
-            return u
-    raise NumericalError("failed to construct a common eigenbasis")
-
+# exact MaxEnt (Gibbs) solver
 
 def gibbs_maxent_solve(
     observables: list[PauliString],
@@ -273,12 +242,20 @@ def gibbs_maxent_solve(
     max_iter: int = 500,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact MaxEnt state rho = exp(-sum_k lambda_k O_k)/Z matching the targets.
+    """Exact MaxEnt state rho = exp(-H)/Z, H = sum_k lambda_k O_k, matching the targets.
 
-    Requires a mutually commuting observable set; solves for the multipliers
-    by damped Newton iteration on the convex dual (lambda = 0 start, step
-    halved on residual increase, convergence at max-residual < tol).
-    Returns (rho, lambdas).
+    Damped Newton on the convex dual log Tr exp(-H) + lambda . targets
+    (Boyd & Vandenberghe, Convex Optimization, sec. 5.2 and ch. 9), for any
+    Pauli set, commuting or not. Each step takes one eigh H = U diag(e) U^dagger,
+    p = exp(-e)/Z, and solves K step = <O> - targets, where K, the dual's
+    Hessian, is the Kubo-Mori covariance of the O_k rotated into H's
+    eigenbasis:
+
+        K_kl = Re sum_ij (O_k)_ij conj(O_l)_ij (p_i - p_j)/(e_j - e_i) - <O_k><O_l>
+
+    with p_i on degenerate pairs (for a commuting set, the classical
+    covariance). lambda = 0 start, step halved while it raises the max
+    residual, convergence at max residual < tol. Returns (rho, lambdas).
     """
     if not observables:
         raise ValidationError("need at least one observable")
@@ -291,46 +268,38 @@ def gibbs_maxent_solve(
     if np.any(np.abs(targets) > 1):
         raise ValidationError("Pauli targets must lie in [-1, 1]")
     check_cap(n)
-    mats = [o.matrix() for o in observables]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > 1e-10:
-                raise NonCommutingObservablesError(
-                    f"observables {observables[i].identifier} and "
-                    f"{observables[j].identifier} do not commute")
-    u = _common_eigenbasis(mats)
-    d = np.stack([np.real(np.diagonal(u.conj().T @ m @ u)) for m in mats])  # (k, dim)
+    mats = np.stack([o.matrix() for o in observables])  # (k, dim, dim)
 
-    def probs(lam):
-        w = -lam @ d
-        w = w - w.max()
-        p = np.exp(w)
-        return p / p.sum()
-
-    def residual(lam):
-        return d @ probs(lam) - targets
+    def gibbs(lam):
+        e, u = np.linalg.eigh(np.tensordot(lam, mats, axes=1))
+        p = np.exp(e[0] - e)  # eigh sorts e ascending
+        p /= p.sum()
+        rot = u.conj().T @ mats @ u
+        return e, u, p, rot, np.diagonal(rot, axis1=1, axis2=2).real @ p - targets
 
     lam = np.zeros(len(observables))
-    res = residual(lam)
+    e, u, p, rot, res = gibbs(lam)
     for _ in range(max_iter):
         if np.max(np.abs(res)) < tol:
-            rho = (u * probs(lam)) @ u.conj().T
-            return validate_density_matrix(rho), lam
-        p = probs(lam)
-        mean = d @ p
-        cov = (d * p) @ d.T - np.outer(mean, mean)
+            return validate_density_matrix((u * p) @ u.conj().T), lam
+        # (p_i - p_j)/(e_j - e_i) = max(p_i, p_j) (1 - exp(-|e_i - e_j|))/|e_i - e_j|
+        gap = np.abs(e[:, None] - e[None, :])
+        kernel = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
+        kernel *= np.maximum.outer(p, p)
+        flat = rot.reshape(len(observables), -1)
+        mean = res + targets
+        cov = ((flat * kernel.reshape(-1)) @ flat.conj().T).real - np.outer(mean, mean)
         try:
             step = np.linalg.solve(cov, res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(cov, res, rcond=None)[0]
-        scale = 1.0
-        for _ in range(60):
-            new = residual(lam + scale * step)
-            if np.max(np.abs(new)) <= np.max(np.abs(res)):
+        for halvings in range(60):
+            trial = lam + 0.5**halvings * step
+            state = gibbs(trial)
+            if np.max(np.abs(state[-1])) <= np.max(np.abs(res)):
                 break
-            scale *= 0.5
-        lam = lam + scale * step
-        res = residual(lam)
+        lam = trial
+        e, u, p, rot, res = state
     raise InfeasibleTargetsError(
         f"no convergence after {max_iter} Newton iterations "
         f"(max residual {np.max(np.abs(res)):.2e}); targets presumed infeasible")

@@ -6,8 +6,9 @@ The (unnormalized) amplitude of a visible configuration sigma is
                  * prod_j 2 cosh(beta * (b_j + sum_i W_ij sigma_i))
 
 i.e. the hidden units are summed out analytically. Sign convention: the
-exponent is +beta*(a.sigma + b.h + sigma.W.h). No normalization constant is
-ever computed — every consumer works with ratios.
+exponent is +beta*(a.sigma + b.h + sigma.W.h). Only the enumeration of all
+configurations (enumerate_model, up to DENSE_CAP spins) normalizes |psi|^2;
+every other consumer works with ratios.
 
 A configuration array is evaluated once into a Batch (configs, tanh theta,
 log psi with theta_j = beta*(b_j + sum_i W_ij v_i)) in real arithmetic and
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseCapError, NumericalError, ValidationError
-from .oracle import DENSE_CAP
+from .errors import NumericalError, ValidationError
+from .oracle import check_cap
 from .spins import all_configs
 
 PARAM_BOUND = 30.0
@@ -179,38 +180,29 @@ def evaluate(params: RbmParams, configs: np.ndarray) -> Batch:
     return Batch(configs=configs, tanh=tanh, log_psi=log_psi)
 
 
-def log_amplitudes(params: RbmParams, configs: np.ndarray) -> np.ndarray:
-    """Vectorized log psi over rows of configs (shape (N, n_v))."""
-    return evaluate(params, configs).log_psi
+def enumerate_model(params: RbmParams) -> tuple[Batch, np.ndarray]:
+    """Every configuration evaluated (row k = basis index k) and the
+    normalized |psi|^2 over them; DENSE_CAP is checked before enumerating."""
+    check_cap(params.n_v)
+    ev = evaluate(params, all_configs(params.n_v))
+    p = np.exp(2.0 * (ev.log_psi.real - ev.log_psi.real.max()))
+    return ev, p / p.sum()
 
 
-def amplitude_matrix(params: RbmParams, partition: Partition,
-                     cap: int = DENSE_CAP) -> tuple[np.ndarray, float]:
-    """Rescaled amplitudes psi_tilde = exp(log psi - c) arranged as a
-    2^n_sys x 2^n_env matrix (system index = row), with c = max Re log psi.
+def normalized_amplitudes(ev: Batch, p: np.ndarray, partition: Partition) -> np.ndarray:
+    """Normalized amplitudes V = sqrt(p) exp(i Im log psi) of an enumeration
+    as a 2^n_sys x 2^n_env matrix (system index = row): rho = V V^dagger."""
+    v = np.sqrt(p) * np.exp(1j * ev.log_psi.imag)
+    return v.reshape(2**partition.n_sys, 2**partition.n_env)
 
-    Every downstream quantity is a ratio, so the scale c cancels; it only
-    keeps exp() in range. Returns (matrix, c).
-    """
+
+def exact_density_matrix(params: RbmParams, partition: Partition) -> np.ndarray:
+    """System density matrix with the environment spins traced out, in Gram
+    form V V^dagger (Hermitian PSD by construction)."""
     if partition.n_v != params.n_v:
         raise ValidationError("partition does not match parameter shape")
-    if partition.n_v > cap:
-        raise DenseCapError(f"{partition.n_v} visible units exceeds dense cap {cap}")
-    ln = log_amplitudes(params, all_configs(partition.n_v))
-    c = float(ln.real.max())
-    return np.exp(ln - c).reshape(2**partition.n_sys, 2**partition.n_env), c
-
-
-def exact_density_matrix(params: RbmParams, partition: Partition,
-                         cap: int = DENSE_CAP) -> np.ndarray:
-    """System density matrix: trace out the environment spins, normalize.
-
-    Gram form (V V^dagger with V the amplitude matrix) makes the result
-    Hermitian PSD by construction.
-    """
-    v, _ = amplitude_matrix(params, partition, cap)
-    rho = v @ v.conj().T
-    return rho / np.trace(rho).real
+    v = normalized_amplitudes(*enumerate_model(params), partition)
+    return v @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .rbm import (
     Partition,
     RbmParams,
     coord_label,
+    enumerate_model,
     exact_density_matrix,
     init_params,
     load_checkpoint,
@@ -57,7 +58,6 @@ from .samplers import (
     derive_seed,
     mh_sample,
     sample_replicas,
-    exact_target_distribution,
     tv_distance,
 )
 from .spins import configs_to_indices
@@ -386,10 +386,9 @@ def cmd_bench_sampler(spec: ExperimentSpec, outdir: Path | None = None) -> dict:
     instance."""
     outdir = resolve_outdir(spec) if outdir is None else Path(outdir)
     partition = Partition(n_sys=spec.n_sys, n_env=spec.n_env_model)
-    check_cap(partition.n_v)
     rng = np.random.default_rng(spec.optimizer.seed)
     params = init_params(partition.n_v, spec.m, rng, std=0.3)
-    exact = exact_target_distribution(params)
+    exact = enumerate_model(params)[1]
     results = []
     for proposal in PROPOSALS:
         sample_set = mh_sample(params, replace(spec.sampler, proposal=proposal))

@@ -23,10 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DenseCapError, EstimationError, ValidationError
-from .oracle import DENSE_CAP
-from .rbm import RbmParams, log_amplitudes, re_log2cosh
-from .spins import all_configs
+from .errors import EstimationError, ValidationError
+from .rbm import RbmParams, re_log2cosh
 
 PROPOSALS = ("LocalFlip", "Uniform")
 
@@ -126,15 +124,6 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 5.0) -> float:
 
 # ---------------------------------------------------------------------------
 # Metropolis-Hastings
-
-def exact_target_distribution(params: RbmParams, cap: int = DENSE_CAP) -> np.ndarray:
-    """Normalized |psi|^2 over all configurations (brute force)."""
-    if params.n_v > cap:
-        raise DenseCapError(f"{params.n_v} visible units exceeds dense cap {cap}")
-    ln = 2.0 * log_amplitudes(params, all_configs(params.n_v)).real
-    p = np.exp(ln - ln.max())
-    return p / p.sum()
-
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum())

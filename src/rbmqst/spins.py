@@ -34,9 +34,3 @@ def configs_to_indices(configs: np.ndarray) -> np.ndarray:
     bits = (configs < 0).astype(np.int64)
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     return bits @ weights
-
-def indices_to_configs(indices: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of configs_to_indices."""
-    idx = np.asarray(indices, dtype=np.int64)
-    bits = (idx[..., None] >> np.arange(n - 1, -1, -1)) & 1
-    return (1.0 - 2.0 * bits).astype(np.float64)

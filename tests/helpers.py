@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from rbmqst.rbm import RbmParams, log_amplitudes
-from rbmqst.samplers import exact_target_distribution
+from rbmqst.rbm import RbmParams, enumerate_model, evaluate
 from rbmqst.spins import all_configs
 
 
@@ -13,7 +12,12 @@ def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
 
 
 def log_amplitude(params: RbmParams, config: np.ndarray) -> complex:
-    return complex(log_amplitudes(params, np.asarray(config)[None, :])[0])
+    return complex(evaluate(params, np.asarray(config)[None, :]).log_psi[0])
+
+
+def trace_power(rho: np.ndarray, n: int) -> float:
+    """Tr rho^n from the eigenvalues, clipped at 0."""
+    return float(np.sum(np.clip(np.linalg.eigvalsh(rho), 0.0, None) ** n))
 
 
 def transition_matrix(params: RbmParams, proposal: str) -> np.ndarray:
@@ -23,7 +27,7 @@ def transition_matrix(params: RbmParams, proposal: str) -> np.ndarray:
     assert n_v <= 6, "brute-force tool"
     k = 2**n_v
     configs = all_configs(n_v)
-    pi = exact_target_distribution(params)
+    pi = enumerate_model(params)[1]
     if proposal == "LocalFlip":
         ham = (configs[:, None, :] != configs[None, :, :]).sum(axis=2)
         q = np.where(ham == 1, 1.0 / n_v, 0.0)

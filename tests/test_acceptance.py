@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import transition_matrix, zero_params
+from helpers import trace_power, transition_matrix, zero_params
 from rbmqst.estimators import (
     estimate_observable,
     estimate_renyi_n,
@@ -31,7 +31,6 @@ from rbmqst.oracle import (
     random_circuit_state,
     random_pauli_strings,
     trace_distance,
-    trace_power,
 )
 from rbmqst.optimizer import (
     Constraint,
@@ -42,6 +41,7 @@ from rbmqst.optimizer import (
 )
 from rbmqst.rbm import (
     Partition,
+    enumerate_model,
     exact_density_matrix,
     init_params,
     load_checkpoint,
@@ -52,7 +52,6 @@ from rbmqst.samplers import (
     PROPOSALS,
     SamplerConfig,
     derive_seed,
-    exact_target_distribution,
     mh_sample,
     sample_replicas,
     tv_distance,
@@ -162,7 +161,7 @@ def test_criterion_3_sampled_calibration():
 def test_criterion_4_sampler_correctness():
     t0 = time.perf_counter()
     params = init_params(6, 4, np.random.default_rng(3), std=0.3)
-    pi = exact_target_distribution(params)
+    pi = enumerate_model(params)[1]
     cfg = SamplerConfig(n_samples=200000, burn_in=2000, thinning=1,
                         n_chains=32, seed=17)
     tvs = {}
@@ -172,7 +171,7 @@ def test_criterion_4_sampler_correctness():
         tvs[proposal] = tv_distance(counts / counts.sum(), pi)
 
     small = init_params(4, 2, np.random.default_rng(8), std=0.3)
-    pi_small = exact_target_distribution(small)
+    pi_small = enumerate_model(small)[1]
     db = {}
     for proposal in PROPOSALS:
         t = transition_matrix(small, proposal)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import log_amplitude
+from helpers import log_amplitude, trace_power
 from rbmqst.errors import EstimationError, ValidationError
 from rbmqst import spins
 from rbmqst.estimators import (
@@ -23,7 +23,6 @@ from rbmqst.oracle import (
     entropy_exact,
     pauli_expectation_exact,
     random_pauli_strings,
-    trace_power,
 )
 from rbmqst.rbm import (
     Partition,
@@ -125,12 +124,6 @@ def test_exact_swap_entropy_matches_dense():
     assert_allclose(res.s2_bits, entropy_exact(rho, 2), atol=1e-10)
     assert res.s2_std_error == 0.0
     assert not res.clipped
-
-
-def test_exact_sum_respects_cap():
-    params, part = make(2, 2)
-    with pytest.raises(ValidationError):
-        estimate_observable(params, part, PauliString("ZZ"), exact_sum=True, cap=3)
 
 
 def test_exact_sum_checks_cap_before_enumerating():

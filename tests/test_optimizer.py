@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import trace_power
 from rbmqst.errors import ValidationError
 from rbmqst.estimators import (
     entropy_terms,
@@ -15,12 +16,13 @@ from rbmqst.estimators import (
 from rbmqst.oracle import (
     CircuitSpec,
     PauliString,
+    entropy_exact,
     gibbs_maxent_solve,
     partial_trace,
     pauli_expectation_exact,
     random_circuit_state,
+    random_pauli_strings,
     trace_distance,
-    trace_power,
 )
 from rbmqst.optimizer import (
     Constraint,
@@ -232,6 +234,28 @@ def test_exact_train_reaches_gibbs_maxent():
     rho_me, _ = gibbs_maxent_solve([PauliString("Z")], [0.5])
     assert trace_distance(rho, rho_me) < 0.02
     assert abs(rho[0, 0].real - 0.75) < 0.02
+
+
+def test_exact_train_reaches_noncommuting_maxent():
+    # criterion 5's set-up (ZYY, ZYZ, ZII, XXZ do not commute) in exact-sum
+    # mode for 1200 epochs: over derive_seed(123, 0..39) the trained state
+    # sits 0.020-0.040 in trace distance and at most 0.0105 bits in S2 from
+    # the dense solver's MaxEnt state; this seed reads 0.0227 and 0.0021
+    state = random_circuit_state(CircuitSpec(layers=4, seed=42, qubit_count=6))
+    rho_t = partial_trace(state, keep=range(3))
+    obs = random_pauli_strings(3, 4, np.random.default_rng(7))
+    targets = [pauli_expectation_exact(rho_t, o) for o in obs]
+    cons = ConstraintSet(tuple(
+        Constraint(obs=o, target=t, xi=0.1) for o, t in zip(obs, targets)))
+    seed = derive_seed(123, 0)
+    opt = OptimizerConfig(epochs=1200, samples_per_epoch=1024, seed=seed, exact_sum=True)
+    params, trace = train(init_params(6, 3, np.random.default_rng(seed)), cons, XiSchedule(),
+                          opt, SamplerConfig(n_samples=1024, burn_in=256, n_chains=16, seed=0))
+    assert trace.status == "ok", trace.message
+    rho_me, _ = gibbs_maxent_solve(obs, targets)
+    rho = exact_density_matrix(params, Partition(3, 3))
+    assert trace_distance(rho, rho_me) < 0.06
+    assert abs(entropy_exact(rho, 2) - entropy_exact(rho_me, 2)) < 0.03
 
 
 def test_trace_record_schema_exact_mode():

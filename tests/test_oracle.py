@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rbmqst.errors import (
-    DenseCapError,
-    InfeasibleTargetsError,
-    NonCommutingObservablesError,
-    ValidationError,
-)
+from helpers import trace_power
+from rbmqst.errors import DenseCapError, InfeasibleTargetsError, ValidationError
 from rbmqst.oracle import (
     CircuitSpec,
     PauliString,
@@ -20,7 +16,6 @@ from rbmqst.oracle import (
     random_circuit_state,
     random_pauli_strings,
     trace_distance,
-    trace_power,
     validate_density_matrix,
     zero_state,
 )
@@ -50,7 +45,6 @@ def test_pauli_string_validation():
     with pytest.raises(ValidationError):
         PauliString("")
     assert PauliString("IXYZ").n_qubits == 4
-    assert PauliString("II").is_identity
     assert PauliString("ZIZ").is_diagonal
     assert not PauliString("ZXZ").is_diagonal
 
@@ -246,29 +240,43 @@ def test_gibbs_matches_targets_on_z_strings():
 
 
 def test_gibbs_is_entropy_maximizer():
-    # any feasible perturbation preserving the constraints lowers the entropy
-    obs = [PauliString("ZI"), PauliString("IZ")]
-    rho, _ = gibbs_maxent_solve(obs, [0.4, -0.1])
-    s_me = entropy_exact(rho, "vne")
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        delta = g + g.conj().T
-        # project the perturbation onto the constraint-preserving subspace
-        delta -= np.trace(delta) / 4 * np.eye(4)
-        for o in obs:
-            m = o.matrix()
-            delta -= np.trace(m @ delta).real / 4 * m
-        pert = rho + 1e-3 * delta / np.abs(np.linalg.eigvalsh(delta)).max()
-        if np.linalg.eigvalsh(pert).min() < 1e-12:
-            continue
-        pert /= np.trace(pert).real
-        assert entropy_exact(pert, "vne") <= s_me + 1e-12
+    # any feasible perturbation preserving the constraints lowers the
+    # entropy, for a commuting set and for one where XI anticommutes with
+    # ZI and ZZ (one test id for both inputs)
+    for letters, targets in ((("ZI", "IZ"), [0.4, -0.1]),
+                             (("XI", "ZI", "ZZ"), [0.3, 0.2, -0.4])):
+        obs = [PauliString(s) for s in letters]
+        rho, _ = gibbs_maxent_solve(obs, targets)
+        for o, t in zip(obs, targets):
+            assert_allclose(pauli_expectation_exact(rho, o), t, atol=1e-10)
+        s_me = entropy_exact(rho, "vne")
+        rng = np.random.default_rng(9)
+        lowered = 0
+        for _ in range(20):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            delta = g + g.conj().T
+            # project the perturbation onto the constraint-preserving subspace
+            delta -= np.trace(delta) / 4 * np.eye(4)
+            for o in obs:
+                m = o.matrix()
+                delta -= np.trace(m @ delta).real / 4 * m
+            pert = rho + 1e-3 * delta / np.abs(np.linalg.eigvalsh(delta)).max()
+            if np.linalg.eigvalsh(pert).min() < 1e-12:
+                continue
+            pert /= np.trace(pert).real
+            assert entropy_exact(pert, "vne") <= s_me + 1e-12, letters
+            lowered += 1
+        assert lowered == 20, letters
 
 
-def test_gibbs_noncommuting_raises():
-    with pytest.raises(NonCommutingObservablesError):
-        gibbs_maxent_solve([PauliString("X"), PauliString("Z")], [0.3, 0.3])
+def test_gibbs_single_qubit_noncommuting_closed_form():
+    # rho = exp(-lambda . sigma)/Z = (I + r . sigma)/2 with r = -tanh|lambda| lambda/|lambda|
+    rho, lam = gibbs_maxent_solve([PauliString("X"), PauliString("Z")], [0.3, 0.3])
+    r = 0.3 * np.sqrt(2.0)
+    assert_allclose(lam, -np.arctanh(r) * np.array([0.3, 0.3]) / r, atol=1e-12)
+    x = PauliString("X").matrix()
+    z = PauliString("Z").matrix()
+    assert_allclose(rho, (np.eye(2) + 0.3 * x + 0.3 * z) / 2, atol=1e-12)
 
 
 def test_gibbs_infeasible_raises():

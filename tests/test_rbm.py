@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import rbmqst.rbm as rbm_module
+from rbmqst import spins
 from helpers import log_amplitude, zero_params
 from rbmqst.errors import DenseCapError, NumericalError, ValidationError
 from rbmqst.oracle import entropy_exact
@@ -14,20 +15,19 @@ from rbmqst.rbm import (
     PARAM_BOUND,
     Partition,
     RbmParams,
-    amplitude_matrix,
     contract,
     coord_label,
+    enumerate_model,
     evaluate,
     exact_density_matrix,
     init_params,
     load_checkpoint,
-    log_amplitudes,
     pack_parameters,
     re_log2cosh,
     save_checkpoint,
     unpack_parameters,
 )
-from rbmqst.spins import all_configs, configs_to_indices, indices_to_configs
+from rbmqst.spins import all_configs, configs_to_indices
 
 
 def brute_force_amplitude(params, v):
@@ -47,7 +47,7 @@ def test_all_configs_ordering():
     # basis index k with bits MSB-first; spin +1 encodes bit 0
     assert_allclose(c, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
     assert_allclose(configs_to_indices(c), [0, 1, 2, 3])
-    assert_allclose(indices_to_configs([3, 0], 2), [[-1, -1], [1, 1]])
+    assert_allclose(c[[3, 0]], [[-1, -1], [1, 1]])
 
 
 def test_all_configs_read_only():
@@ -83,7 +83,7 @@ def test_log_amplitudes_batch_matches_single():
     rng = np.random.default_rng(3)
     p = init_params(4, 2, rng, std=0.3)
     configs = all_configs(4)
-    batch = log_amplitudes(p, configs)
+    batch = evaluate(p, configs).log_psi
     singles = np.array([log_amplitude(p, v) for v in configs])
     assert_allclose(batch, singles, rtol=1e-14)
 
@@ -92,7 +92,7 @@ def test_log_amplitude_stable_at_large_parameters():
     # magnitudes near the clip bound must not overflow
     p = RbmParams(a=np.full(2, PARAM_BOUND + 0j), b=np.full(3, PARAM_BOUND + 0j),
                   w=np.full((2, 3), PARAM_BOUND + 0j))
-    lp = log_amplitudes(p, all_configs(2))
+    lp = evaluate(p, all_configs(2)).log_psi
     assert np.all(np.isfinite(lp))
     # v = (+1, +1): log psi = 2*30 + 3*log(2 cosh(90)) ~ 60 + 3*(90 + log 2 - ...)
     assert_allclose(lp[0].real, 60 + 3 * (90 + np.log(2) - np.log(2)), rtol=1e-12)
@@ -242,8 +242,8 @@ def test_parameter_validation():
 def test_zero_params_give_uniform_pure_state():
     p = zero_params(4, 3)
     part = Partition(n_sys=2, n_env=2)
-    v, _ = amplitude_matrix(p, part)
-    assert_allclose(v, v[0, 0] * np.ones((4, 4)))  # constant amplitude
+    _, prob = enumerate_model(p)
+    assert_allclose(prob, np.full(16, 1 / 16), atol=1e-15)  # constant amplitude
     rho = exact_density_matrix(p, part)
     assert_allclose(entropy_exact(rho, 2), 0.0, atol=1e-12)
     assert_allclose(rho, np.full((4, 4), 0.25), atol=1e-14)
@@ -269,9 +269,12 @@ def test_no_environment_gives_pure_state():
 
 
 def test_amplitude_matrix_cap():
+    # the cap is checked before the 2^n_v configurations are built (and cached)
     p = zero_params(15, 1)
+    before = spins._all_configs_cached.cache_info().currsize
     with pytest.raises(DenseCapError):
-        amplitude_matrix(p, Partition(n_sys=8, n_env=7))
+        exact_density_matrix(p, Partition(n_sys=8, n_env=7))
+    assert spins._all_configs_cached.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,7 @@ def test_contract_matches_finite_differences(n_v, m, beta, seed):
     batch = evaluate(p, configs)
     for coeff in (c, 1j * c):
         def f(x):
-            return np.real(coeff @ log_amplitudes(unpack_parameters(x, n_v, m, beta), configs))
+            return np.real(coeff @ evaluate(unpack_parameters(x, n_v, m, beta), configs).log_psi)
         fd = np.empty(x0.size)
         for i in range(x0.size):
             e = np.zeros_like(x0)

@@ -8,12 +8,11 @@ from numpy.testing import assert_allclose
 import rbmqst.samplers as samplers
 from helpers import transition_matrix, zero_params
 from rbmqst.errors import ValidationError
-from rbmqst.rbm import evaluate, init_params, re_log2cosh
+from rbmqst.rbm import enumerate_model, evaluate, init_params, re_log2cosh
 from rbmqst.samplers import (
     PROPOSALS,
     SamplerConfig,
     derive_seed,
-    exact_target_distribution,
     integrated_autocorr_time,
     mh_sample,
     sample_replicas,
@@ -98,7 +97,7 @@ def test_tv_distance_values():
 
 def test_exact_target_distribution_uniform_for_zero_params():
     p = zero_params(3, 2)
-    assert_allclose(exact_target_distribution(p), np.full(8, 1 / 8), atol=1e-14)
+    assert_allclose(enumerate_model(p)[1], np.full(8, 1 / 8), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def test_mh_sample_reproducible():
 def test_detailed_balance_brute_force(proposal):
     p = make_params(n_v=3, m=2, seed=4)
     t = transition_matrix(p, proposal)
-    pi = exact_target_distribution(p)
+    pi = enumerate_model(p)[1]
     assert_allclose(t.sum(axis=1), 1.0, atol=1e-12)
     flow = pi[:, None] * t
     assert np.abs(flow - flow.T).max() < 1e-12
@@ -149,7 +148,7 @@ def test_empirical_distribution_converges(proposal):
                         proposal=proposal)
     s = mh_sample(p, cfg)
     counts = np.bincount(configs_to_indices(s.spins), minlength=16)
-    assert tv_distance(counts / counts.sum(), exact_target_distribution(p)) < 0.03
+    assert tv_distance(counts / counts.sum(), enumerate_model(p)[1]) < 0.03
 
 
 def test_sample_replicas_independent_streams():
