@@ -49,10 +49,8 @@ from .estimators import (
     EstimateResult,
     SwapResult,
     estimate_observable,
-    estimate_renyi_n,
     estimate_swap,
     vne_coefficients,
-    vne_from_powers,
 )
 from .optimizer import (
     Constraint,

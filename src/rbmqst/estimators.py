@@ -1,11 +1,12 @@
 """Sampling estimators for observables and Renyi/von Neumann entropies.
 
-Every estimator has two modes: `sampled` (fed by samplers.mh_sample /
-sample_replicas output) and `exact_sum` (brute-force enumeration over all
-visible configurations by rbm.enumerate_model, used as the oracle-comparable
-mode at small sizes).
-Both are a WeightedBatch: the evaluated configurations with weights 1/N
-(samples) or normalized |psi|^2 (enumeration), averaged by one code path.
+Estimates average over the WeightedBatches that replicas() evaluates: one
+per sample stream (samplers.sample_replicas output, weights 1/N), or given
+no streams the enumeration of all configurations (rbm.enumerate_model,
+weights normalized |psi|^2: exact, comparable with the dense oracle). The
+*_terms functions below take either, so sampled and exact-sum training run
+one code path; estimate_observable and estimate_swap report sampled values
+with their standard errors.
 
 Pauli local estimator: a Pauli string connects each configuration v to
 exactly one partner v' (flip the X/Y support on the system spins); the
@@ -45,19 +46,14 @@ LN2 = math.log(2.0)
 class EstimateResult:
     value: float
     std_error: float
-    n_samples: int
-    mode: str  # "sampled" | "exact_sum"
 
 
 @dataclass(frozen=True)
 class SwapResult:
-    """<SWAP_A> estimate plus the derived second Renyi entropy in bits."""
+    """Second Renyi entropy in bits, from a <SWAP_A> estimate."""
 
-    swap: EstimateResult
     s2_bits: float
     s2_std_error: float
-    imag_mean: float
-    clipped: bool
 
 
 def _series_error(series: np.ndarray, n_chains: int, chain_len: int) -> float:
@@ -84,7 +80,7 @@ class WeightedBatch:
     """An evaluated configuration array and the weights of its mean: 1/N over
     a sample set (chain-major, n_chains x chain_len, for error bars) or
     normalized |psi|^2 over the enumeration of all configurations
-    (n_chains = 0: exact, no error bar)."""
+    (n_chains = 0: exact)."""
 
     ev: Batch
     weights: np.ndarray
@@ -96,39 +92,16 @@ class WeightedBatch:
         return self.n_chains == 0
 
     def estimate(self, series: np.ndarray) -> EstimateResult:
-        """Weighted mean of a real per-configuration series."""
-        se = 0.0 if self.exact else _series_error(series, self.n_chains, self.chain_len)
-        return EstimateResult(value=float(self.weights @ series), std_error=se,
-                              n_samples=series.size,
-                              mode="exact_sum" if self.exact else "sampled")
+        """Mean of a real per-sample series over a sample set, with its
+        standard error."""
+        return EstimateResult(value=float(self.weights @ series),
+                              std_error=_series_error(series, self.n_chains, self.chain_len))
 
 
-def _sampled_batch(params: RbmParams, samples) -> WeightedBatch:
-    if isinstance(samples, SampleSet):
-        spins, n_chains, chain_len = samples.spins, samples.n_chains, samples.chain_len
-    else:
-        spins = np.atleast_2d(np.asarray(samples, dtype=float))
-        if spins.size == 0:
-            raise ValidationError("empty sample set")
-        n_chains, chain_len = 1, spins.shape[0]
-    return WeightedBatch(evaluate(params, spins), np.full(spins.shape[0], 1.0 / spins.shape[0]),
-                         n_chains, chain_len)
-
-
-def _exact_batch(params: RbmParams, partition: Partition) -> WeightedBatch:
-    if partition.n_v != params.n_v:
-        raise ValidationError("partition does not match parameter shape")
-    return WeightedBatch(*enumerate_model(params))
-
-
-def weighted_batch(params: RbmParams, partition: Partition, samples=None,
-                   exact_sum: bool = False) -> WeightedBatch:
-    """The batch an estimate averages over."""
-    if exact_sum:
-        return _exact_batch(params, partition)
-    if samples is None:
-        raise ValidationError("samples required unless exact_sum")
-    return _sampled_batch(params, samples)
+def _sampled_batch(params: RbmParams, samples: SampleSet) -> WeightedBatch:
+    n = samples.n_samples
+    return WeightedBatch(evaluate(params, samples.spins), np.full(n, 1.0 / n),
+                         samples.n_chains, samples.chain_len)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +154,9 @@ def observable_terms(params: RbmParams, partition: Partition, obs: PauliString,
 
 
 def estimate_observable(params: RbmParams, partition: Partition, obs: PauliString,
-                        samples=None, exact_sum: bool = False) -> EstimateResult:
-    """<O> as the |psi|^2-weighted mean of the local estimator."""
-    batch = weighted_batch(params, partition, samples, exact_sum)
+                        samples: SampleSet) -> EstimateResult:
+    """<O> as the sample mean of the local estimator."""
+    batch = _sampled_batch(params, samples)
     return batch.estimate(observable_terms(params, partition, obs, batch)[1].real)
 
 
@@ -214,21 +187,19 @@ class Replicas:
         return self._permuted[key]
 
 
-def replicas(params: RbmParams, partition: Partition, replica_samples, n: int,
-             exact_sum: bool = False) -> Replicas:
-    """Evaluate n replica streams (or the enumeration)."""
-    if n < 2:
-        raise ValidationError("replica order must be >= 2")
+def replicas(params: RbmParams, partition: Partition,
+             streams: list[SampleSet] | None = None) -> Replicas:
+    """Evaluate two or more replica sample streams of equal shape, or with
+    streams None the enumeration of every configuration."""
     if partition.n_v != params.n_v:
         raise ValidationError("partition does not match parameter shape")
-    if exact_sum:
-        return Replicas(params, partition, [_exact_batch(params, partition)])
-    if replica_samples is None or len(replica_samples) != n:
-        raise ValidationError(f"need exactly {n} replica streams")
-    streams = [_sampled_batch(params, s) for s in replica_samples]
-    if len({s.ev.configs.shape for s in streams}) != 1:
+    if streams is None:
+        return Replicas(params, partition, [WeightedBatch(*enumerate_model(params))])
+    if len(streams) < 2:
+        raise ValidationError("need at least 2 replica streams")
+    if len({s.spins.shape for s in streams}) != 1:
         raise ValidationError("replica streams must have equal shapes")
-    return Replicas(params, partition, streams)
+    return Replicas(params, partition, [_sampled_batch(params, s) for s in streams])
 
 
 def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]:
@@ -263,44 +234,16 @@ def renyi_terms(reps: Replicas, n: int) -> tuple[float, np.ndarray | None, list]
     return value, terms, [(uk.ev, c_u) for uk in u] + [(wk, wt) for wk in w]
 
 
-def _renyi_estimate(params: RbmParams, partition: Partition, n: int,
-                    replica_samples, exact_sum: bool) -> tuple[EstimateResult, float]:
-    """Shared path for estimate_renyi_n / estimate_swap; also returns the
-    imaginary part of the term mean (diagnostic). Takes Replicas as is."""
-    reps = (replica_samples if isinstance(replica_samples, Replicas)
-            else replicas(params, partition, replica_samples, n, exact_sum))
-    value, terms, _ = renyi_terms(reps, n)
-    if terms is None:
-        est = EstimateResult(value=value, std_error=0.0,
-                             n_samples=2**partition.n_v, mode="exact_sum")
-        return est, 0.0
+def estimate_swap(params: RbmParams, partition: Partition, streams) -> SwapResult:
+    """S2 = -log2 <SWAP_A> from sample streams or their evaluated Replicas;
+    a <SWAP_A> = Tr rho_A^2 estimate above 1 is clipped to 1, one <= 0 raises."""
+    reps = streams if isinstance(streams, Replicas) else replicas(params, partition, streams)
+    value, terms, _ = renyi_terms(reps, 2)
     if value <= 0.0:
-        raise EstimationError(
-            f"non-positive Tr(rho^{n}) estimate {value:.3e}; more samples needed")
-    est = reps.streams[0].estimate(terms.real)
-    return est, float(terms.imag.mean())
-
-
-def estimate_renyi_n(params: RbmParams, partition: Partition, n: int,
-                     replica_samples=None, exact_sum: bool = False) -> EstimateResult:
-    """Tr(rho_A^n) with the A region = system qubits, from streams or Replicas."""
-    return _renyi_estimate(params, partition, n, replica_samples, exact_sum)[0]
-
-
-def estimate_swap(params: RbmParams, partition: Partition,
-                  replica_samples=None, exact_sum: bool = False) -> SwapResult:
-    """<SWAP_A> = Tr(rho_A^2) from paired streams or Replicas, plus S2 = -log2(value).
-
-    The imaginary part of the term mean is reported as a diagnostic; values
-    above 1 are clipped to 1 (flagged) before the log.
-    """
-    est, imag_mean = _renyi_estimate(params, partition, 2, replica_samples, exact_sum)
-    clipped = est.value > 1.0
-    swap_val = min(est.value, 1.0)
-    s2 = -math.log2(swap_val)
-    return SwapResult(swap=est, s2_bits=s2,
-                      s2_std_error=est.std_error / (est.value * LN2),
-                      imag_mean=imag_mean, clipped=clipped)
+        raise EstimationError(f"non-positive Tr(rho^2) estimate {value:.3e}; more samples needed")
+    std_error = reps.streams[0].estimate(terms.real).std_error
+    return SwapResult(s2_bits=-math.log2(min(value, 1.0)),
+                      s2_std_error=std_error / (value * LN2))
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +284,6 @@ def vne_bits_from_raw_powers(tr_powers, n_c: int) -> float:
         raise ValidationError(f"expected trace powers 2..{n_c} ({n_c - 1} values)")
     alpha = vne_coefficients(n_c)
     return float(-(alpha[1:] @ (tr_powers - 1.0)) / LN2)
-
-
-def vne_from_powers(tr_powers, n_c: int) -> float:
-    """Polynomial von Neumann entropy (bits) from exact-range trace powers
-    Tr rho^2 .. Tr rho^{n_c}. A pure state (all powers 1) gives exactly 0."""
-    arr = np.asarray(tr_powers, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
-        raise ValidationError("trace powers must lie in (0, 1]")
-    return vne_bits_from_raw_powers(arr, n_c)
 
 
 def entropy_terms(reps: Replicas, n_c: int | None) -> tuple[float, list, bool]:

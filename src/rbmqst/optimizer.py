@@ -143,21 +143,12 @@ def _contract_pairs(params: RbmParams, pairs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # finite differences and the exact cost
 
-def finite_difference_gradient(cost_fn, params, h: float) -> np.ndarray:
-    """Central finite differences of a scalar function, per packed coordinate.
-
-    `params` may be an RbmParams (cost_fn then receives RbmParams) or a
-    plain real vector (cost_fn receives vectors).
-    """
+def finite_difference_gradient(cost_fn, params: RbmParams, h: float) -> np.ndarray:
+    """Central finite differences of cost_fn(RbmParams), per packed coordinate."""
     if h <= 0:
         raise ValidationError("h must be positive")
-    if isinstance(params, RbmParams):
-        n_v, m, beta = params.n_v, params.m, params.beta
-        x0 = pack_parameters(params)
-        fn = lambda x: cost_fn(unpack_parameters(x, n_v, m, beta))
-    else:
-        x0 = np.asarray(params, dtype=float)
-        fn = cost_fn
+    x0 = pack_parameters(params)
+    fn = lambda x: cost_fn(unpack_parameters(x, params.n_v, params.m, params.beta))
     grad = np.empty(x0.size)
     for i in range(x0.size):
         xp, xm = x0.copy(), x0.copy()
@@ -193,7 +184,7 @@ def exact_cost_and_grad(params: RbmParams, partition: Partition,
                         ) -> tuple[float, np.ndarray]:
     """Deterministic exact-sum cost and analytic gradient (gradcheck target)."""
     xis = np.asarray(xis, dtype=float)
-    reps = replicas(params, partition, None, 2, exact_sum=True)
+    reps = replicas(params, partition)
     s_bits, residuals, grad, _ = _penalty_terms(
         params, partition, constraints, xis, reps, None if entropy_mode == "renyi2" else n_c)
     return cost(s_bits, residuals, xis), grad
@@ -235,6 +226,10 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
     With entropy_mode = renyi2_then_vne the entropy term switches to the
     polynomial von Neumann estimate for the final 10% of epochs.
 
+    Constraint i starts at its own Constraint.xi and grows by the schedule;
+    schedule.xi_init is only the value that `rbmqst train` gives every
+    constraint (runner.build_constraints).
+
     Sampled chains persist across epochs (persistent contrastive
     divergence, Tieleman, ICML 2008): an epoch with as many streams as the
     last continues its chains with sampler.burn_in // 8 steps; epoch 0 and
@@ -263,7 +258,7 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
         xis = np.array([schedule.at(c.xi, epoch) for c in constraints])
         try:
             if opt.exact_sum:
-                reps = replicas(params, partition, None, 2, exact_sum=True)
+                reps = replicas(params, partition)
                 acceptance = autocorr = None
             else:
                 k = opt.vne_cutoff if vne_phase else 2
@@ -276,7 +271,7 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
                 ends = np.concatenate([s.chain_view()[:, -1] for s in streams])
                 acceptance = float(np.mean([s.diagnostics["acceptance_rate"] for s in streams]))
                 autocorr = max(s.diagnostics["autocorr_time"] for s in streams)
-                reps = replicas(params, partition, streams, k)
+                reps = replicas(params, partition, streams)
             s_bits, residuals, grad_total, floored = _penalty_terms(
                 params, partition, constraints, xis, reps, opt.vne_cutoff if vne_phase else None)
             trace.entropy_floor_events += floored

@@ -174,32 +174,21 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return rho
 
 
-def partial_trace(obj: np.ndarray, keep, total_qubits: int | None = None) -> np.ndarray:
-    """Reduce a statevector or density matrix to the kept qubits."""
-    obj = np.asarray(obj, dtype=complex)
+def partial_trace(state: np.ndarray, keep) -> np.ndarray:
+    """Reduced density matrix of a statevector on the kept qubits."""
+    state = np.asarray(state, dtype=complex)
     keep = list(keep)
     if not keep:
         raise ValidationError("keep set must be nonempty")
-    if obj.ndim == 1:
-        q = int(np.log2(obj.size))
-        if total_qubits is not None and total_qubits != q:
-            raise ValidationError("total_qubits does not match state size")
-        if sorted(set(keep)) != sorted(keep) or any(t < 0 or t >= q for t in keep):
-            raise ValidationError("keep indices must be distinct and in range")
-        rest = [i for i in range(q) if i not in keep]
-        t = obj.reshape([2] * q).transpose(keep + rest)
-        m = t.reshape(2 ** len(keep), -1)
-        return m @ m.conj().T
-    if obj.ndim == 2:
-        q = int(np.log2(obj.shape[0]))
-        rest = [i for i in range(q) if i not in keep]
-        t = obj.reshape([2] * (2 * q))
-        perm = keep + rest + [q + i for i in keep] + [q + i for i in rest]
-        t = t.transpose(perm)
-        k, r = 2 ** len(keep), 2 ** len(rest)
-        t = t.reshape(k, r, k, r)
-        return np.einsum("arbr->ab", t)
-    raise ValidationError("expected a vector or a square matrix")
+    if state.ndim != 1:
+        raise ValidationError("expected a statevector")
+    q = int(np.log2(state.size))
+    if sorted(set(keep)) != sorted(keep) or any(t < 0 or t >= q for t in keep):
+        raise ValidationError("keep indices must be distinct and in range")
+    rest = [i for i in range(q) if i not in keep]
+    t = state.reshape([2] * q).transpose(keep + rest)
+    m = t.reshape(2 ** len(keep), -1)
+    return m @ m.conj().T
 
 
 def pauli_expectation_exact(rho: np.ndarray, obs: PauliString) -> float:

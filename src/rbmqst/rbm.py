@@ -292,7 +292,7 @@ def load_checkpoint(path) -> tuple[RbmParams, Partition]:
             w=np.asarray(doc["w_re"], float) + 1j * np.asarray(doc["w_im"], float),
             beta=float(doc["beta"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint: {exc}") from exc
     if params.n_v != partition.n_v:
         raise ValidationError("checkpoint sizes are inconsistent")

@@ -180,7 +180,7 @@ def load_target(path) -> dict:
         for entry in doc["observables"]:
             PauliString(entry["pauli"])
             float(entry["target"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed target file: {exc}") from exc
     return doc
 
@@ -208,7 +208,7 @@ def _dense_eval(params: RbmParams, partition: Partition,
 def _sampled_eval(params: RbmParams, partition: Partition, constraints: ConstraintSet,
                   sampler: SamplerConfig) -> tuple[dict, dict, float, float]:
     """Sampled residuals, their standard errors, S2 and its standard error."""
-    reps = replicas(params, partition, sample_replicas(params, sampler, 2), 2)
+    reps = replicas(params, partition, sample_replicas(params, sampler, 2))
     batch = reps.streams[0]
     residuals, std_errors = {}, {}
     for c in constraints:
@@ -308,8 +308,7 @@ def cmd_train(spec: ExperimentSpec, target_path=None, outdir: Path | None = None
 # ---------------------------------------------------------------------------
 # eval
 
-def cmd_eval(checkpoint_path, target_path, outdir: Path | None = None,
-             sampler: SamplerConfig | None = None) -> dict:
+def cmd_eval(checkpoint_path, target_path, outdir: Path | None = None) -> dict:
     """Recompute residuals and entropies for a checkpoint (exact mode when
     the size permits, sampled otherwise); checks the entanglement bound
     S2 <= min(n_sys, n_env_model)."""
@@ -323,9 +322,9 @@ def cmd_eval(checkpoint_path, target_path, outdir: Path | None = None,
     if dense is not None:
         mode, (residuals, s2) = "exact", dense
     else:
-        sampler = sampler or SamplerConfig(n_samples=8192, burn_in=1024, thinning=2)
         mode = "sampled"
-        residuals, _, s2, _ = _sampled_eval(params, partition, constraints, sampler)
+        residuals, _, s2, _ = _sampled_eval(params, partition, constraints,
+                                            SamplerConfig(n_samples=8192, burn_in=1024, thinning=2))
     report = {
         "mode": mode,
         "final_residuals": residuals,

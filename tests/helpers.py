@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from rbmqst.estimators import observable_terms, renyi_terms, replicas
 from rbmqst.rbm import RbmParams, enumerate_model, evaluate
+from rbmqst.samplers import SampleSet
 from rbmqst.spins import all_configs
 
 
@@ -13,6 +15,22 @@ def zero_params(n_v: int, m: int, beta: float = 1.0) -> RbmParams:
 
 def log_amplitude(params: RbmParams, config: np.ndarray) -> complex:
     return complex(evaluate(params, np.asarray(config)[None, :]).log_psi[0])
+
+
+def sample_set(spins) -> SampleSet:
+    """Hand-picked rows as a one-chain sample set."""
+    spins = np.atleast_2d(np.asarray(spins, dtype=float))
+    return SampleSet(spins, n_chains=1, chain_len=spins.shape[0])
+
+
+def exact_observable(params: RbmParams, part, obs) -> float:
+    """<O> by the exact sum over the model's enumeration, as training runs it."""
+    return observable_terms(params, part, obs, replicas(params, part).streams[0])[0]
+
+
+def exact_trace_power(params: RbmParams, part, n: int) -> float:
+    """Tr rho_A^n by the exact sum over the model's enumeration."""
+    return renyi_terms(replicas(params, part), n)[0]
 
 
 def trace_power(rho: np.ndarray, n: int) -> float:

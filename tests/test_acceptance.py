@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import trace_power, transition_matrix, zero_params
-from rbmqst.estimators import (
-    estimate_observable,
-    estimate_renyi_n,
-    estimate_swap,
-    vne_from_powers,
+from helpers import (
+    exact_observable,
+    exact_trace_power,
+    trace_power,
+    transition_matrix,
+    zero_params,
 )
+from rbmqst.estimators import estimate_observable, estimate_swap, vne_bits_from_raw_powers
 from rbmqst.oracle import (
     CircuitSpec,
     PauliString,
@@ -94,7 +95,7 @@ def test_criterion_1_gradient_check():
 
 
 # ---------------------------------------------------------------------------
-# 2. exact-sum estimators vs the dense oracle
+# 2. exact sums over the enumeration, as training runs them, vs the dense oracle
 
 def test_criterion_2_exact_sum_vs_dense():
     t0 = time.perf_counter()
@@ -110,12 +111,9 @@ def test_criterion_2_exact_sum_vs_dense():
         obs = random_pauli_strings(n_sys, 1, rng)[0]
         worst = max(
             worst,
-            abs(estimate_observable(params, part, obs, exact_sum=True).value
-                - pauli_expectation_exact(rho, obs)),
-            abs(estimate_swap(params, part, exact_sum=True).swap.value
-                - trace_power(rho, 2)),
-            abs(estimate_renyi_n(params, part, 3, exact_sum=True).value
-                - trace_power(rho, 3)),
+            abs(exact_observable(params, part, obs) - pauli_expectation_exact(rho, obs)),
+            abs(exact_trace_power(params, part, 2) - trace_power(rho, 2)),
+            abs(exact_trace_power(params, part, 3) - trace_power(rho, 3)),
         )
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 60.0
@@ -269,7 +267,7 @@ def test_criterion_8_vne_polynomial():
         u = haar_unitary(d, rng)
         rho = (u * spec) @ u.conj().T
         powers = [trace_power(rho, k) for k in range(2, 13)]
-        err = abs(vne_from_powers(powers, 12) - entropy_exact(rho, "vne"))
+        err = abs(vne_bits_from_raw_powers(powers, 12) - entropy_exact(rho, "vne"))
         worst = max(worst, err)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-2 and dt < 60.0

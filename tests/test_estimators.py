@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import log_amplitude, trace_power
+from helpers import exact_observable, exact_trace_power, log_amplitude, sample_set, trace_power
 from rbmqst.errors import EstimationError, ValidationError
 from rbmqst import spins
 from rbmqst.estimators import (
+    _sampled_batch,
+    entropy_terms,
     estimate_observable,
-    estimate_renyi_n,
     estimate_swap,
     observable_terms,
     pauli_action,
@@ -15,8 +16,6 @@ from rbmqst.estimators import (
     replicas,
     vne_bits_from_raw_powers,
     vne_coefficients,
-    vne_from_powers,
-    weighted_batch,
 )
 from rbmqst.oracle import (
     PauliString,
@@ -65,7 +64,7 @@ def test_pauli_action_env_untouched():
 
 
 def local_estimators(params, part, obs, configs):
-    return observable_terms(params, part, obs, weighted_batch(params, part, configs))[1]
+    return observable_terms(params, part, obs, _sampled_batch(params, sample_set(configs)))[1]
 
 
 def test_local_estimator_diagonal_is_spin_product():
@@ -80,21 +79,21 @@ def test_local_estimator_offdiagonal_uses_amplitude_ratio():
     v = np.array([1.0, 1.0, -1.0])
     conn = np.array([-1.0, 1.0, -1.0])
     want = np.exp(log_amplitude(params, conn) - log_amplitude(params, v))
-    got = local_estimators(params, part, PauliString("XI"), v[None, :])
+    got = local_estimators(params, part, PauliString("XI"), v)
     assert_allclose(got, [want], rtol=1e-12)
     # the sampled value of a one-row batch is the real part of that estimator
-    est = estimate_observable(params, part, PauliString("XI"), samples=v[None, :])
+    est = estimate_observable(params, part, PauliString("XI"), sample_set(v))
     assert est.value == pytest.approx(want.real, rel=1e-12)
 
 
 def test_obs_width_mismatch_raises():
     params, part = make(2, 1)
     with pytest.raises(ValidationError):
-        estimate_observable(params, part, PauliString("XXX"), samples=np.ones((1, 3)))
+        estimate_observable(params, part, PauliString("XXX"), sample_set(np.ones((1, 3))))
 
 
 # ---------------------------------------------------------------------------
-# exact-sum estimators against the dense oracle
+# exact sums over the enumeration, as training runs them, against the dense oracle
 
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_observable_matches_dense(seed):
@@ -103,27 +102,23 @@ def test_exact_observable_matches_dense(seed):
     params, part = make(n_sys, n_env, m, seed=seed + 10)
     rho = exact_density_matrix(params, part)
     for obs in random_pauli_strings(n_sys, 3, rng):
-        est = estimate_observable(params, part, obs, exact_sum=True)
-        assert est.mode == "exact_sum"
-        assert est.std_error == 0.0
-        assert_allclose(est.value, pauli_expectation_exact(rho, obs), atol=1e-10)
+        assert_allclose(exact_observable(params, part, obs), pauli_expectation_exact(rho, obs),
+                        atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_exact_renyi_matches_dense(n):
     params, part = make(2, 2, m=3, seed=3)
     rho = exact_density_matrix(params, part)
-    est = estimate_renyi_n(params, part, n, exact_sum=True)
-    assert_allclose(est.value, trace_power(rho, n), atol=1e-12)
+    assert_allclose(exact_trace_power(params, part, n), trace_power(rho, n), atol=1e-12)
 
 
 def test_exact_swap_entropy_matches_dense():
     params, part = make(3, 2, m=3, seed=8)
     rho = exact_density_matrix(params, part)
-    res = estimate_swap(params, part, exact_sum=True)
-    assert_allclose(res.s2_bits, entropy_exact(rho, 2), atol=1e-10)
-    assert res.s2_std_error == 0.0
-    assert not res.clipped
+    s2_bits, _, floored = entropy_terms(replicas(params, part), None)
+    assert_allclose(s2_bits, entropy_exact(rho, 2), atol=1e-10)
+    assert not floored
 
 
 def test_exact_sum_checks_cap_before_enumerating():
@@ -131,9 +126,7 @@ def test_exact_sum_checks_cap_before_enumerating():
     params, part = make(2, 15, m=1)
     before = spins._all_configs_cached.cache_info().currsize
     with pytest.raises(ValidationError):
-        estimate_observable(params, part, PauliString("ZZ"), exact_sum=True)
-    with pytest.raises(ValidationError):
-        estimate_swap(params, part, exact_sum=True)
+        replicas(params, part)
     assert spins._all_configs_cached.cache_info().currsize == before
 
 
@@ -143,47 +136,45 @@ def test_exact_sum_checks_cap_before_enumerating():
 def test_sampled_observable_consistent_with_exact():
     params, part = make(2, 1, seed=4, std=0.25)
     obs = PauliString("XZ")
-    truth = estimate_observable(params, part, obs, exact_sum=True).value
+    truth = exact_observable(params, part, obs)
     s = mh_sample(params, SamplerConfig(n_samples=40000, burn_in=500, n_chains=8, seed=2))
-    est = estimate_observable(params, part, obs, samples=s)
-    assert est.mode == "sampled"
+    est = estimate_observable(params, part, obs, s)
     assert est.std_error > 0.0
     assert abs(est.value - truth) < 4 * est.std_error + 1e-3
 
 
 def test_sampled_swap_consistent_with_exact():
     params, part = make(2, 2, seed=6, std=0.25)
-    truth = estimate_swap(params, part, exact_sum=True).s2_bits
+    truth = -np.log2(exact_trace_power(params, part, 2))
     cfg = SamplerConfig(n_samples=30000, burn_in=500, n_chains=8, seed=9)
-    res = estimate_swap(params, part, replica_samples=sample_replicas(params, cfg, 2))
+    reps = replicas(params, part, sample_replicas(params, cfg, 2))
+    res = estimate_swap(params, part, reps)
     assert abs(res.s2_bits - truth) < 4 * res.s2_std_error + 5e-3
-    assert abs(res.imag_mean) < 5 * res.swap.std_error + 5e-3
-    assert_allclose(res.s2_std_error, res.swap.std_error / (res.swap.value * np.log(2)))
-
-
-def test_estimate_observable_requires_samples():
-    params, part = make()
-    with pytest.raises(ValidationError):
-        estimate_observable(params, part, PauliString("ZZ"))
+    swap, terms, _ = renyi_terms(reps, 2)
+    swap_se = reps.streams[0].estimate(terms.real).std_error
+    assert abs(terms.imag.mean()) < 5 * swap_se + 5e-3
+    assert_allclose(res.s2_std_error, swap_se / (swap * np.log(2)))
 
 
 def test_replica_stream_validation():
     params, part = make(1, 1, m=1)
-    one = np.ones((4, 2))
+    one = sample_set(np.ones((4, 2)))
     with pytest.raises(ValidationError):
-        estimate_renyi_n(params, part, 2, replica_samples=[one])  # wrong count
+        replicas(params, part, [one])  # fewer than 2 streams
     with pytest.raises(ValidationError):
-        estimate_renyi_n(params, part, 2, replica_samples=[one, np.ones((3, 2))])
+        replicas(params, part, [one, sample_set(np.ones((3, 2)))])
     with pytest.raises(ValidationError):
-        estimate_renyi_n(params, part, 1, replica_samples=[one])  # order < 2
+        replicas(params, Partition(2, 1), [one, one])  # partition does not match
+    with pytest.raises(ValidationError):
+        renyi_terms(replicas(params, part, [one, one]), 3)  # order above the stream count
 
 
 def test_replica_permuted_example():
     part = Partition(2, 1)
     params = init_params(part.n_v, 1, np.random.default_rng(0))
-    u0 = np.array([[1.0, 1.0, 1.0]])
-    u1 = np.array([[-1.0, -1.0, -1.0]])
-    reps = replicas(params, part, [u0, u1], 2)
+    u0 = sample_set([1.0, 1.0, 1.0])
+    u1 = sample_set([-1.0, -1.0, -1.0])
+    reps = replicas(params, part, [u0, u1])
     assert_allclose(reps.permuted(1, 0).configs, [[-1.0, -1.0, 1.0]])  # system of u1, env of u0
     assert_allclose(reps.permuted(0, 1).configs, [[1.0, 1.0, -1.0]])
     assert reps.permuted(1, 0) is reps.permuted(1, 0)  # evaluated once
@@ -194,8 +185,8 @@ def test_replica_terms_product_state_are_unity():
     part = Partition(1, 1)
     params = RbmParams(a=np.array([0.4, -0.7], dtype=complex),
                        b=np.zeros(1, dtype=complex), w=np.zeros((2, 1), dtype=complex))
-    streams = [all_configs(2), all_configs(2)[::-1].copy()]
-    _, terms, _ = renyi_terms(replicas(params, part, streams, 2), 2)
+    streams = [sample_set(all_configs(2)), sample_set(all_configs(2)[::-1])]
+    _, terms, _ = renyi_terms(replicas(params, part, streams), 2)
     assert_allclose(terms, 1.0, atol=1e-12)
 
 
@@ -204,11 +195,9 @@ def test_estimate_swap_clips_above_one():
     part = Partition(1, 1)
     params = RbmParams(a=np.zeros(2, dtype=complex), b=np.zeros(1, dtype=complex),
                        w=np.array([[1.0], [1.0]], dtype=complex))
-    streams = [np.array([[1.0, -1.0]]), np.array([[-1.0, 1.0]])]
-    res = estimate_swap(params, part, replica_samples=streams)
-    assert res.swap.value == pytest.approx(np.cosh(2.0) ** 2, rel=1e-12)
-    assert res.clipped
-    assert res.s2_bits == 0.0
+    reps = replicas(params, part, [sample_set([1.0, -1.0]), sample_set([-1.0, 1.0])])
+    assert renyi_terms(reps, 2)[0] == pytest.approx(np.cosh(2.0) ** 2, rel=1e-12)
+    assert estimate_swap(params, part, reps).s2_bits == 0.0
 
 
 def test_nonpositive_swap_estimate_raises():
@@ -219,9 +208,9 @@ def test_nonpositive_swap_estimate_raises():
     part = Partition(1, 1)
     params = RbmParams(a=np.zeros(2, dtype=complex), b=np.zeros(1, dtype=complex),
                        w=np.array([[1.0 + 1j * np.pi / 4], [-1j * np.pi / 4]]))
-    streams = [np.array([[1.0, 1.0]]), np.array([[-1.0, -1.0]])]
+    streams = [sample_set([1.0, 1.0]), sample_set([-1.0, -1.0])]
     with pytest.raises(EstimationError):
-        estimate_swap(params, part, replica_samples=streams)
+        estimate_swap(params, part, streams)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,7 @@ def test_vne_coefficients_cached_and_frozen():
 
 
 def test_vne_pure_state_exact_zero():
-    assert vne_from_powers(np.ones(11), 12) == pytest.approx(0.0, abs=1e-12)
+    assert vne_bits_from_raw_powers(np.ones(11), 12) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("probs,bits,tol", [
@@ -251,20 +240,16 @@ def test_vne_from_powers_against_spectra(probs, bits, tol):
     p = np.asarray(probs)
     n_c = 12
     powers = [(p**m).sum() for m in range(2, n_c + 1)]
-    assert vne_from_powers(powers, n_c) == pytest.approx(bits, abs=tol)
+    assert vne_bits_from_raw_powers(powers, n_c) == pytest.approx(bits, abs=tol)
 
 
 def test_vne_from_powers_range_validation():
     with pytest.raises(ValidationError):
-        vne_from_powers([0.5, 1.5], 3)
-    with pytest.raises(ValidationError):
-        vne_from_powers([0.0, 0.5], 3)
-    with pytest.raises(ValidationError):
-        vne_from_powers([0.5, 0.5, 0.5], 3)  # wrong length for cutoff
+        vne_bits_from_raw_powers([0.5, 0.5, 0.5], 3)  # wrong length for cutoff
 
 
 def test_vne_raw_powers_skips_range_check():
-    # sampled trace powers can stray outside (0, 1]; the raw entry point
-    # evaluates the same polynomial without rejecting them
+    # sampled trace powers can stray outside (0, 1]; the polynomial takes
+    # them as they are
     noisy = np.array([1.02, 0.97])
     assert np.isfinite(vne_bits_from_raw_powers(noisy, 3))

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import trace_power
+from helpers import exact_observable, trace_power
 from rbmqst.errors import ValidationError
 from rbmqst.estimators import (
     entropy_terms,
-    estimate_observable,
-    estimate_renyi_n,
+    estimate_swap,
     observable_terms,
     renyi_terms,
     replicas,
-    weighted_batch,
 )
 from rbmqst.oracle import (
     CircuitSpec,
@@ -40,7 +38,6 @@ from rbmqst.rbm import (
     exact_density_matrix,
     init_params,
     pack_parameters,
-    unpack_parameters,
 )
 from rbmqst.samplers import SamplerConfig, derive_seed, sample_replicas
 
@@ -112,20 +109,15 @@ def test_optimizer_config_validation(kwargs):
 # ---------------------------------------------------------------------------
 # analytic gradients vs central finite differences (exact-sum mode)
 
-def _obs_value(p, part, obs):
-    return estimate_observable(p, part, obs, exact_sum=True).value
-
-
 def renyi_value_and_grad(p, part, n, streams=None):
-    reps = replicas(p, part, streams, n, exact_sum=streams is None)
-    value, _, pairs = renyi_terms(reps, n)
+    value, _, pairs = renyi_terms(replicas(p, part, streams), n)
     return value, _contract_pairs(p, pairs)
 
 
 def entropy_value_and_grad(p, part, n_c=None):
     """Exact S2 (n_c None) or polynomial von Neumann entropy, its gradient
     and whether the S2 floor bound."""
-    bits, pairs, floored = entropy_terms(replicas(p, part, None, n_c or 2, exact_sum=True), n_c)
+    bits, pairs, floored = entropy_terms(replicas(p, part), n_c)
     return bits, _contract_pairs(p, pairs), floored
 
 
@@ -133,9 +125,9 @@ def entropy_value_and_grad(p, part, n_c=None):
 def test_grad_observable_matches_fd(letters):
     params, part = make(2, 1, m=2, seed=3)
     obs = PauliString(letters)
-    batch = weighted_batch(params, part, exact_sum=True)
+    batch = replicas(params, part).streams[0]
     grad = _contract_pairs(params, observable_terms(params, part, obs, batch)[2])
-    fd = finite_difference_gradient(lambda p: _obs_value(p, part, obs), params, h=1e-5)
+    fd = finite_difference_gradient(lambda p: exact_observable(p, part, obs), params, h=1e-5)
     assert_grad_close(grad, fd)
 
 
@@ -185,13 +177,8 @@ def test_exact_cost_and_grad_matches_fd(mode, n_c, h):
 
 def test_finite_difference_vector_and_params_agree():
     params, part = make(1, 1, m=1, seed=19)
-    f_params = lambda p: entropy_value_and_grad(p, part)[0]
-    f_vec = lambda x: f_params(unpack_parameters(x, params.n_v, params.m, params.beta))
-    g1 = finite_difference_gradient(f_params, params, h=1e-5)
-    g2 = finite_difference_gradient(f_vec, pack_parameters(params), h=1e-5)
-    assert_allclose(g1, g2, atol=1e-12)
     with pytest.raises(ValidationError):
-        finite_difference_gradient(f_params, params, h=0.0)
+        finite_difference_gradient(lambda p: entropy_value_and_grad(p, part)[0], params, h=0.0)
 
 
 def test_sampled_renyi_value_matches_estimator_on_same_streams():
@@ -199,8 +186,8 @@ def test_sampled_renyi_value_matches_estimator_on_same_streams():
     cfg = SamplerConfig(n_samples=512, burn_in=64, n_chains=4, seed=5)
     streams = sample_replicas(params, cfg, 2)
     value, grad = renyi_value_and_grad(params, part, 2, streams)
-    est = estimate_renyi_n(params, part, 2, replica_samples=streams)
-    assert_allclose(value, est.value, rtol=1e-12)
+    assert 0.0 < value < 1.0
+    assert_allclose(-np.log2(value), estimate_swap(params, part, streams).s2_bits, rtol=1e-12)
     assert np.all(np.isfinite(grad))
 
 

@@ -140,8 +140,10 @@ def test_partial_trace_keep_all():
 def test_partial_trace_of_matrix_matches_vector_path():
     psi = random_circuit_state(CircuitSpec(layers=2, seed=3, qubit_count=4))
     rho_full = np.outer(psi, psi.conj())
-    assert_allclose(partial_trace(psi, keep=[0, 1]), partial_trace(rho_full, keep=[0, 1]),
-                    atol=1e-13)
+    reference = np.einsum("arbr->ab", rho_full.reshape(4, 4, 4, 4))  # (kept, rest) twice
+    assert_allclose(partial_trace(psi, keep=[0, 1]), reference, atol=1e-13)
+    with pytest.raises(ValidationError):
+        partial_trace(rho_full, keep=[0, 1])  # statevectors only
 
 
 def test_validate_density_matrix_rejects_bad_inputs():

@@ -6,6 +6,7 @@ import pytest
 from rbmqst.cli import load_spec, main
 from rbmqst.errors import NumericalError, ValidationError
 from rbmqst.optimizer import OptimizerConfig, XiSchedule
+from rbmqst.rbm import Partition, init_params, save_checkpoint
 from rbmqst.runner import (
     OUTPUT_ROOT_ENV,
     ExperimentSpec,
@@ -383,6 +384,33 @@ def test_cli_exit_code_io(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["train", "--config", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("command,name,key,value", [
+    ("train", "target.json", "target", "high"),
+    ("train", "target.json", "system_qubits", "two"),
+    ("eval", "target.json", "target", "high"),
+    ("eval", "target.json", "system_qubits", "two"),
+    ("eval", "checkpoint.json", "beta", "one"),
+])
+def test_cli_malformed_values_exit_validation(tmp_path, capsys, command, name, key, value):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen-target", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    save_checkpoint(init_params(3, 1, np.random.default_rng(0)), Partition(2, 1),
+                    tmp_path / "checkpoint.json")
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    (doc["observables"][0] if key == "target" else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--target", str(tmp_path / "target.json"),
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                "--target", str(tmp_path / "target.json")]
+    assert main(argv) == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_output_root_env(tmp_path, monkeypatch, capsys):
