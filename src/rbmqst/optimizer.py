@@ -91,7 +91,6 @@ class XiSchedule:
 class OptimizerConfig:
     epochs: int = 300
     learning_rate: float = 0.01
-    method: str = "adaptive-moment"  # or "plain-gradient"
     samples_per_epoch: int = 1024
     entropy_mode: str = "renyi2_then_vne"  # or "renyi2"
     vne_cutoff: int = 4
@@ -108,8 +107,6 @@ class OptimizerConfig:
             raise ValidationError("vne_cutoff must be >= 2")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
-        if self.method not in ("plain-gradient", "adaptive-moment"):
-            raise ValidationError("method must be plain-gradient or adaptive-moment")
         if self.entropy_mode not in ("renyi2", "renyi2_then_vne"):
             raise ValidationError("entropy_mode must be renyi2 or renyi2_then_vne")
 
@@ -194,20 +191,22 @@ def exact_cost_and_grad(params: RbmParams, partition: Partition,
 # training loop
 
 class _Adam:
-    def __init__(self, size: int, lr: float, b1: float = 0.9, b2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+    """Adam (Kingma & Ba, ICLR 2015) with its published default moments."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, x: np.ndarray, g: np.ndarray, lr: float | None = None) -> np.ndarray:
+    def step(self, x: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
         self.t += 1
         self.m = self.b1 * self.m + (1 - self.b1) * g
         self.v = self.b2 * self.v + (1 - self.b2) * g * g
         mhat = self.m / (1 - self.b1**self.t)
         vhat = self.v / (1 - self.b2**self.t)
-        return x - (self.lr if lr is None else lr) * mhat / (np.sqrt(vhat) + self.eps)
+        return x - lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def _clip_params_vector(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -250,7 +249,7 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
     params = initial
     trace = TrainingTrace()
     x = pack_parameters(params)
-    adam = _Adam(x.size, opt.learning_rate) if opt.method == "adaptive-moment" else None
+    adam = _Adam(x.size)
     n_vne = max(1, round(0.1 * opt.epochs)) if opt.entropy_mode == "renyi2_then_vne" else 0
     ends = None  # the last sampled epoch's chain end states
     for epoch in range(opt.epochs):
@@ -290,13 +289,13 @@ def train(initial: RbmParams, constraints: ConstraintSet, schedule: XiSchedule,
             grad_total = grad_total * (opt.grad_clip / grad_norm)
             trace.clip_events += 1
         # Full learning rate for the first half, cosine-annealed to a 5%
-        # floor afterwards: adaptive-moment updates jitter by ~lr at
+        # floor afterwards: Adam updates jitter by ~lr at
         # stationarity, which leaves noise-injected coherences of that scale
         # in the state unless the late-stage step shrinks.
         frac = epoch / max(opt.epochs - 1, 1)
         anneal = 1.0 if frac < 0.5 else 0.5 * (1.0 + math.cos(math.pi * (2.0 * frac - 1.0)))
         lr_t = opt.learning_rate * max(0.05, anneal)
-        x = adam.step(x, grad_total, lr_t) if adam else x - lr_t * grad_total
+        x = adam.step(x, grad_total, lr_t)
         x, n_clipped = _clip_params_vector(x)
         if n_clipped:
             trace.clip_events += 1

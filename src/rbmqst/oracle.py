@@ -6,8 +6,9 @@ solver for any Pauli observable set. Everything here is brute force on
 dense arrays and is the ground truth the sampling estimators are tested
 against.
 
-Capped at DENSE_CAP qubits; operations refuse above the cap rather than
-attempting anything clever.
+Capped at DENSE_CAP qubits for vectors and MATRIX_CAP qubits for
+2^n x 2^n matrices (256 MiB per complex matrix); operations refuse above
+the cap, before allocating, rather than attempting anything clever.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DenseCapError, InfeasibleTargetsError, NumericalError, ValidationError
 
 DENSE_CAP = 14
+MATRIX_CAP = 12
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -32,9 +34,9 @@ CNOT = np.array(
      [0, 0, 1, 0]], dtype=complex)
 
 
-def check_cap(qubits: int) -> None:
-    if qubits > DENSE_CAP:
-        raise DenseCapError(f"{qubits} qubits exceeds dense cap {DENSE_CAP}")
+def check_cap(qubits: int, cap: int = DENSE_CAP) -> None:
+    if qubits > cap:
+        raise DenseCapError(f"{qubits} qubits exceeds dense cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,7 @@ class PauliString:
         return np.array([c in kinds for c in self.letters], dtype=bool)
 
     def matrix(self) -> np.ndarray:
+        check_cap(self.n_qubits, MATRIX_CAP)
         m = np.array([[1.0 + 0j]])
         for c in self.letters:
             m = np.kron(m, PAULI_1Q[c])
@@ -185,6 +188,7 @@ def partial_trace(state: np.ndarray, keep) -> np.ndarray:
     q = int(np.log2(state.size))
     if sorted(set(keep)) != sorted(keep) or any(t < 0 or t >= q for t in keep):
         raise ValidationError("keep indices must be distinct and in range")
+    check_cap(len(keep), MATRIX_CAP)
     rest = [i for i in range(q) if i not in keep]
     t = state.reshape([2] * q).transpose(keep + rest)
     m = t.reshape(2 ** len(keep), -1)
@@ -256,7 +260,7 @@ def gibbs_maxent_solve(
         raise ValidationError("targets/observables length mismatch")
     if np.any(np.abs(targets) > 1):
         raise ValidationError("Pauli targets must lie in [-1, 1]")
-    check_cap(n)
+    check_cap(n, MATRIX_CAP)
     mats = np.stack([o.matrix() for o in observables])  # (k, dim, dim)
 
     def gibbs(lam):

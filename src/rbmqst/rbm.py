@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .oracle import check_cap
+from .oracle import MATRIX_CAP, check_cap
 from .spins import all_configs
 
 PARAM_BOUND = 30.0
@@ -94,10 +94,6 @@ class RbmParams:
     @property
     def m(self) -> int:
         return self.b.size
-
-    @property
-    def n_coords(self) -> int:
-        return 2 * (self.n_v + self.m + self.n_v * self.m)
 
 
 def init_params(n_v: int, m: int, rng: np.random.Generator,
@@ -201,6 +197,7 @@ def exact_density_matrix(params: RbmParams, partition: Partition) -> np.ndarray:
     form V V^dagger (Hermitian PSD by construction)."""
     if partition.n_v != params.n_v:
         raise ValidationError("partition does not match parameter shape")
+    check_cap(partition.n_sys, MATRIX_CAP)
     v = normalized_amplitudes(*enumerate_model(params), partition)
     return v @ v.conj().T
 
@@ -281,11 +278,21 @@ def save_checkpoint(params: RbmParams, partition: Partition, path) -> None:
         fh.write("\n")
 
 
+def json_size(value) -> int:
+    """A size read from a JSON file: an integer or an integral float, not a
+    bool (int() would truncate 2.7 to 2 and read true as 1)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"size must be an integer, got {value!r}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[RbmParams, Partition]:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        partition = Partition(int(doc["n_sys"]), int(doc["n_env"]))
+        partition = Partition(json_size(doc["n_sys"]), json_size(doc["n_env"]))
         params = RbmParams(
             a=np.asarray(doc["a_re"], float) + 1j * np.asarray(doc["a_im"], float),
             b=np.asarray(doc["b_re"], float) + 1j * np.asarray(doc["b_im"], float),

@@ -7,6 +7,10 @@ Output layout inside a run directory:
 Sweep runs write per-seed subdirectories seed_00/... plus aggregated
 median curves and report at the root.
 
+train's report.json and eval's report both hold one evaluation of the
+trained model (_evaluate): sampled residuals and S2 with standard errors,
+and exact ones where both dense caps admit them.
+
 The default output root is $RBMQST_OUTPUT_ROOT (falling back to the
 current directory); spec.outdir is resolved against it.
 """
@@ -33,6 +37,7 @@ from .optimizer import (
 )
 from .oracle import (
     DENSE_CAP,
+    MATRIX_CAP,
     CircuitSpec,
     PauliString,
     check_cap,
@@ -49,6 +54,7 @@ from .rbm import (
     enumerate_model,
     exact_density_matrix,
     init_params,
+    json_size,
     load_checkpoint,
     save_checkpoint,
 )
@@ -93,6 +99,7 @@ class ExperimentSpec:
         if self.sweep < 1:
             raise ValidationError("sweep must be >= 1")
         check_cap(self.n_sys + self.n_env_target)
+        check_cap(self.n_sys, MATRIX_CAP)  # the target's density matrix
         # Sampled training never enumerates the model's configurations; the
         # exact sum does.
         if self.optimizer.exact_sum:
@@ -176,7 +183,7 @@ def load_target(path) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        doc["system_qubits"] = int(doc["system_qubits"])
+        doc["system_qubits"] = json_size(doc["system_qubits"])
         for entry in doc["observables"]:
             PauliString(entry["pauli"])
             float(entry["target"])
@@ -194,29 +201,37 @@ def build_constraints(target_doc: dict, xi_init: float) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 # train
 
-def _dense_eval(params: RbmParams, partition: Partition,
-                constraints: ConstraintSet) -> tuple[dict, float] | None:
-    """Exact residuals and S2 from the dense density matrix; None above DENSE_CAP."""
-    if partition.n_v > DENSE_CAP:
-        return None
-    rho = exact_density_matrix(params, partition)
-    residuals = {c.obs.identifier: pauli_expectation_exact(rho, c.obs) - c.target
-                 for c in constraints}
-    return residuals, entropy_exact(rho, 2)
-
-
-def _sampled_eval(params: RbmParams, partition: Partition, constraints: ConstraintSet,
-                  sampler: SamplerConfig) -> tuple[dict, dict, float, float]:
-    """Sampled residuals, their standard errors, S2 and its standard error."""
+def _evaluate(params: RbmParams, partition: Partition, constraints: ConstraintSet,
+              sampler: SamplerConfig) -> dict:
+    """Sampled residuals and S2 from two replica streams (stream 0 evaluated
+    once for every constraint) and, where DENSE_CAP and MATRIX_CAP admit it,
+    exact ones from the dense density matrix; final_residuals are the exact
+    ones where they exist."""
     reps = replicas(params, partition, sample_replicas(params, sampler, 2))
     batch = reps.streams[0]
-    residuals, std_errors = {}, {}
+    sampled, std_errors = {}, {}
     for c in constraints:
         est = batch.estimate(observable_terms(params, partition, c.obs, batch)[1].real)
-        residuals[c.obs.identifier] = est.value - c.target
+        sampled[c.obs.identifier] = est.value - c.target
         std_errors[c.obs.identifier] = est.std_error
     swap = estimate_swap(params, partition, reps)
-    return residuals, std_errors, swap.s2_bits, swap.s2_std_error
+    del reps, batch  # freed before the dense block allocates
+    final, s2_exact = sampled, None
+    if partition.n_v <= DENSE_CAP and partition.n_sys <= MATRIX_CAP:
+        rho = exact_density_matrix(params, partition)
+        final = {c.obs.identifier: pauli_expectation_exact(rho, c.obs) - c.target
+                 for c in constraints}
+        s2_exact = entropy_exact(rho, 2)
+    return {
+        "final_residuals": final,
+        "total_residual": float(sum(abs(v) for v in final.values())),
+        "sampled_residuals": sampled,
+        "sampled_std_errors": std_errors,
+        "s2_bits_sampled": swap.s2_bits,
+        "s2_std_error_sampled": swap.s2_std_error,
+        "s2_bits_exact": s2_exact,
+        "entropy_bound_bits": float(min(partition.n_sys, partition.n_env)),
+    }
 
 
 def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
@@ -224,19 +239,8 @@ def _report(params: RbmParams, partition: Partition, constraints: ConstraintSet,
     """Final evaluation of a run; its samples derive from the run's seed."""
     eval_cfg = replace(sampler, seed=derive_seed(seed, 0xE7A1),
                        n_samples=max(sampler.n_samples, 4096))
-    sampled, std_errors, s2_sampled, s2_se = _sampled_eval(params, partition, constraints,
-                                                           eval_cfg)
-    dense = _dense_eval(params, partition, constraints)
-    final, s2_exact = dense if dense is not None else (sampled, None)
     return {
-        "final_residuals": final,
-        "total_residual": float(sum(abs(v) for v in final.values())),
-        "sampled_residuals": sampled,
-        "sampled_std_errors": std_errors,
-        "s2_bits_sampled": s2_sampled,
-        "s2_std_error_sampled": s2_se,
-        "s2_bits_exact": s2_exact,
-        "entropy_bound_bits": float(min(partition.n_sys, partition.n_env)),
+        **_evaluate(params, partition, constraints, eval_cfg),
         "wall_clock_per_epoch_s": wall_per_epoch,
         "epochs_run": len(trace.records),
         "status": trace.status,
@@ -309,31 +313,19 @@ def cmd_train(spec: ExperimentSpec, target_path=None, outdir: Path | None = None
 # eval
 
 def cmd_eval(checkpoint_path, target_path, outdir: Path | None = None) -> dict:
-    """Recompute residuals and entropies for a checkpoint (exact mode when
-    the size permits, sampled otherwise); checks the entanglement bound
-    S2 <= min(n_sys, n_env_model)."""
+    """The evaluation that train's report holds (_evaluate), for a checkpoint,
+    plus whether S2 (exact where the dense caps admit it, else sampled)
+    meets the entanglement bound S2 <= min(n_sys, n_env_model)."""
     params, partition = load_checkpoint(checkpoint_path)
     target_doc = load_target(target_path)
     if target_doc["system_qubits"] != partition.n_sys:
         raise ValidationError("checkpoint and target disagree on system size")
     constraints = build_constraints(target_doc, 1.0)
-    bound = float(min(partition.n_sys, partition.n_env))
-    dense = _dense_eval(params, partition, constraints)
-    if dense is not None:
-        mode, (residuals, s2) = "exact", dense
-    else:
-        mode = "sampled"
-        residuals, _, s2, _ = _sampled_eval(params, partition, constraints,
-                                            SamplerConfig(n_samples=8192, burn_in=1024, thinning=2))
-    report = {
-        "mode": mode,
-        "final_residuals": residuals,
-        "total_residual": float(sum(abs(v) for v in residuals.values())),
-        "s2_bits": s2,
-        "entropy_bound_bits": bound,
-        "within_entropy_bound": bool(s2 <= bound + 0.05),
-        "target_exact_entropy_s2_bits": target_doc.get("exact_entropy_s2_bits"),
-    }
+    report = _evaluate(params, partition, constraints,
+                       SamplerConfig(n_samples=8192, burn_in=1024, thinning=2))
+    s2 = report["s2_bits_sampled"] if report["s2_bits_exact"] is None else report["s2_bits_exact"]
+    report["within_entropy_bound"] = bool(s2 <= report["entropy_bound_bits"] + 0.05)
+    report["target_exact_entropy_s2_bits"] = target_doc.get("exact_entropy_s2_bits")
     if outdir is not None:
         _write_json(Path(outdir) / "report.json", report)
     return report

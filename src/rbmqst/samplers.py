@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import ValidationError
 from .rbm import RbmParams, re_log2cosh
 
 PROPOSALS = ("LocalFlip", "Uniform")
@@ -140,12 +140,13 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Metropolis-Hastings loop over config.n_chains chains in
     len(seeds) equal groups; group r draws from default_rng(seeds[r]) in the
-    order of a lone group (start, retries, then per step the proposal draws
-    and the acceptance draw), so a group's chains do not depend on the
-    others. Given start rows, a group starts from its own rows and draws
-    only the retries of rows with non-finite log|psi|. Returns the kept
-    spins (n_chains, chain_len, n_v), their log|psi| and each chain's
-    accepted moves after burn-in."""
+    order of a lone group (start, then per step the proposal draws and the
+    acceptance draw), so a group's chains do not depend on the others.
+    Given start rows, a group starts from its own rows and draws no start.
+    Every start state is valid: log|psi| is finite for every +-1 row
+    (rbm.re_log2cosh is finite for finite theta). Returns the kept spins
+    (n_chains, chain_len, n_v), their log|psi| and each chain's accepted
+    moves after burn-in."""
     n_v, beta = params.n_v, params.beta
     rngs = [np.random.default_rng(s) for s in seeds]
     group = config.n_chains // len(seeds)
@@ -155,19 +156,11 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
     def draw(rng, count):
         return 1.0 - 2.0 * rng.integers(0, 2, size=(count, n_v)).astype(float)
 
-    def begin(rng, rows):
-        spins = draw(rng, group) if rows is None else rows.copy()
-        for _ in range(100):
-            theta, ell, lp = _chain_state(params, spins)
-            bad = ~np.isfinite(lp)
-            if not bad.any():
-                return spins, theta, ell, lp
-            spins[bad] = draw(rng, int(bad.sum()))
-        raise EstimationError("could not find a start configuration with nonzero amplitude")
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        starts = [None] * len(rngs) if start is None else np.split(start, len(rngs))
-        spins, theta, ell, lp = (np.concatenate(part) for part in zip(*map(begin, rngs, starts)))
+        starts = [draw(rng, group) for rng in rngs] if start is None else np.split(start, len(rngs))
+        # per group, as the Uniform proposals below
+        spins, theta, ell, lp = (np.concatenate(part) for part in
+                                 zip(*[(x, *_chain_state(params, x)) for x in starts]))
         rows = np.arange(config.n_chains)
         if proposal == "LocalFlip":
             w2 = 2.0 * beta * params.w

@@ -98,7 +98,6 @@ def test_constraint_validation():
     {"samples_per_epoch": 0},
     {"vne_cutoff": 1},
     {"learning_rate": 0.0},
-    {"method": "sgd"},
     {"entropy_mode": "renyi3"},
 ])
 def test_optimizer_config_validation(kwargs):
@@ -392,14 +391,16 @@ def test_exact_epoch_enumerates_once(monkeypatch):
     assert calls == [2**part.n_v]
 
 
-def test_plain_gradient_step_is_lr_times_exact_gradient():
+def test_first_adam_step_is_lr_times_normalised_exact_gradient():
+    # Adam's bias-corrected moments after one step are g and g^2
     params, part = make(2, 1, m=2, seed=5)
     opt = OptimizerConfig(epochs=1, exact_sum=True, entropy_mode="renyi2",
-                          method="plain-gradient", learning_rate=0.03, grad_clip=1e6)
+                          learning_rate=0.03, grad_clip=1e6)
     final, trace = train(params, MIXED, XiSchedule(), opt, SamplerConfig())
     _, g = exact_cost_and_grad(params, part, MIXED, trace.records[0]["xi_values"])
     assert trace.clip_events == 0
-    assert_allclose(pack_parameters(final), pack_parameters(params) - 0.03 * g,
+    assert_allclose(pack_parameters(final),
+                    pack_parameters(params) - 0.03 * g / (np.abs(g) + 1e-8),
                     rtol=0, atol=1e-12)
 
 

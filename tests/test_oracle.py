@@ -216,6 +216,13 @@ def test_trace_distance_values():
 def test_dense_cap_enforced():
     with pytest.raises(DenseCapError):
         random_circuit_state(CircuitSpec(layers=1, seed=0, qubit_count=15))
+    # 2^n x 2^n matrices have their own cap, checked before they are built
+    with pytest.raises(DenseCapError, match="cap 12"):
+        PauliString("Z" * 13).matrix()
+    with pytest.raises(DenseCapError, match="cap 12"):
+        partial_trace(zero_state(13), keep=range(13))
+    with pytest.raises(DenseCapError, match="cap 12"):
+        gibbs_maxent_solve([PauliString("Z" * 13)], [0.5])
 
 
 # ---------------------------------------------------------------------------

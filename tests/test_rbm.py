@@ -275,6 +275,10 @@ def test_amplitude_matrix_cap():
     with pytest.raises(DenseCapError):
         exact_density_matrix(p, Partition(n_sys=8, n_env=7))
     assert spins._all_configs_cached.cache_info().currsize == before
+    # 13 system qubits: a 2^13 x 2^13 matrix, above MATRIX_CAP though n_v is below DENSE_CAP
+    with pytest.raises(DenseCapError, match="cap 12"):
+        exact_density_matrix(zero_params(13, 1), Partition(n_sys=13, n_env=0))
+    assert spins._all_configs_cached.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ from rbmqst.runner import (
 from rbmqst.samplers import PROPOSALS, SamplerConfig
 
 
+# report.json fields that describe the training run, not the trained model
+RUN_FIELDS = {"wall_clock_per_epoch_s", "epochs_run", "status", "message", "clip_events",
+              "entropy_floor_events"}
+
+
 def small_spec(**kwargs):
     base = dict(
         n_sys=2, n_env_target=1, n_env_model=1, m=1,
@@ -67,6 +72,37 @@ def test_cli_refuses_unknown_proposal_before_training(tmp_path, monkeypatch, cap
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
     assert main(["train", "--set", "sampler.proposal=SurrogateTrotter"]) == 2
     assert f"proposal must be one of {PROPOSALS}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_refuses_an_optimizer_method_before_training(tmp_path, monkeypatch, capsys):
+    # Adam is the only update rule, so a spec that names one (as spec.json
+    # files written with OptimizerConfig.method do) is refused
+    import rbmqst.runner as runner
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with a spec naming an optimizer method")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path / "out"))
+    cfg = write_cfg(tmp_path, optimizer={"epochs": 4, "method": "adaptive-moment"})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert main(["train", "--set", "optimizer.method=adaptive-moment"]) == 2
+    assert "unexpected keyword argument 'method'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_target_refuses_a_dense_matrix_above_the_cap_before_building_it(
+        tmp_path, monkeypatch, capsys):
+    import rbmqst.runner as runner
+
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("built the target state above the matrix cap")
+
+    monkeypatch.setattr(runner, "random_circuit_state", no_circuit)
+    monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
+    assert main(["gen-target", "--set", "n_sys=14", "--set", "n_env_target=0"]) == 2
+    assert "exceeds dense cap 12" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -219,12 +255,22 @@ def test_eval_report(tmp_path):
     cmd_train(small_spec(), outdir=tmp_path)
     report = cmd_eval(tmp_path / "checkpoint.json", tmp_path / "target.json",
                       outdir=tmp_path / "eval")
-    assert report["mode"] == "exact"
-    assert set(report) == {"mode", "final_residuals", "total_residual", "s2_bits",
-                           "entropy_bound_bits", "within_entropy_bound",
+    assert report["s2_bits_exact"] is not None
+    assert set(report) == {"final_residuals", "total_residual", "sampled_residuals",
+                           "sampled_std_errors", "s2_bits_sampled", "s2_std_error_sampled",
+                           "s2_bits_exact", "entropy_bound_bits", "within_entropy_bound",
                            "target_exact_entropy_s2_bits"}
     assert report["within_entropy_bound"]
     assert (tmp_path / "eval" / "report.json").exists()
+
+
+def test_eval_holds_the_evaluation_of_train_report(tmp_path):
+    cmd_train(small_spec(), outdir=tmp_path)
+    trained = json.loads((tmp_path / "report.json").read_text())
+    report = cmd_eval(tmp_path / "checkpoint.json", tmp_path / "target.json")
+    assert set(trained) - RUN_FIELDS <= set(report)
+    for key in ("final_residuals", "total_residual", "s2_bits_exact"):
+        assert report[key] == trained[key], key
 
 
 def test_final_sampled_evaluation_evaluates_each_array_once(monkeypatch):
@@ -234,7 +280,7 @@ def test_final_sampled_evaluation_evaluates_each_array_once(monkeypatch):
     from rbmqst.oracle import PauliString
     from rbmqst.optimizer import Constraint, ConstraintSet
     from rbmqst.rbm import Partition, init_params
-    from rbmqst.runner import _sampled_eval
+    from rbmqst.runner import _evaluate
     from rbmqst.samplers import sample_replicas
 
     constraints = ConstraintSet(entries=(Constraint(PauliString("ZZ"), 0.2, 1.0),
@@ -251,8 +297,10 @@ def test_final_sampled_evaluation_evaluates_each_array_once(monkeypatch):
         return original(p, configs)
 
     monkeypatch.setattr(estimators, "evaluate", counted)
-    residuals, std_errors, s2, s2_se = _sampled_eval(params, partition, constraints, sampler)
+    report = _evaluate(params, partition, constraints, sampler)
     assert len(calls) == 4 + 2
+    residuals, std_errors = report["sampled_residuals"], report["sampled_std_errors"]
+    s2, s2_se = report["s2_bits_sampled"], report["s2_std_error_sampled"]
     monkeypatch.setattr(estimators, "evaluate", original)
     pair = sample_replicas(params, sampler, 2)
     for c in constraints:
@@ -314,7 +362,7 @@ def test_cli_train_and_eval_roundtrip(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(out / "checkpoint.json"),
                  "--target", str(out / "target.json")])
     assert code == 0
-    assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+    assert json.loads(capsys.readouterr().out)["s2_bits_exact"] is not None
 
 
 @pytest.mark.parametrize("proposal", PROPOSALS)
@@ -351,7 +399,7 @@ def test_cli_trains_sampled_model_above_dense_cap(tmp_path, capsys):
     assert all(np.isfinite(se) for se in report["sampled_std_errors"].values())
     assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
                  "--target", str(tmp_path / "run" / "target.json")]) == 0
-    assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+    assert json.loads(capsys.readouterr().out)["s2_bits_exact"] is None
     # the exact sum still enumerates, so its cap still applies
     assert main(argv + ["--set", "optimizer.exact_sum=true"]) == 2
 
@@ -392,6 +440,12 @@ def test_cli_exit_code_io(tmp_path, capsys):
     ("eval", "target.json", "target", "high"),
     ("eval", "target.json", "system_qubits", "two"),
     ("eval", "checkpoint.json", "beta", "one"),
+    # sizes are not truncated: int() read 2.7 as 2 and true as 1
+    ("train", "target.json", "system_qubits", 2.7),
+    ("train", "target.json", "system_qubits", True),
+    ("eval", "target.json", "system_qubits", 2.7),
+    ("eval", "checkpoint.json", "n_sys", 2.9),
+    ("eval", "checkpoint.json", "n_env", True),
 ])
 def test_cli_malformed_values_exit_validation(tmp_path, capsys, command, name, key, value):
     cfg = write_cfg(tmp_path)
