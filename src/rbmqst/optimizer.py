@@ -107,6 +107,8 @@ class OptimizerConfig:
             raise ValidationError("vne_cutoff must be >= 2")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
+        if self.grad_clip <= 0:
+            raise ValidationError("grad_clip must be positive")
         if self.entropy_mode not in ("renyi2", "renyi2_then_vne"):
             raise ValidationError("entropy_mode must be renyi2 or renyi2_then_vne")
 

@@ -98,6 +98,7 @@ def test_constraint_validation():
     {"samples_per_epoch": 0},
     {"vne_cutoff": 1},
     {"learning_rate": 0.0},
+    {"grad_clip": 0.0},
     {"entropy_mode": "renyi3"},
 ])
 def test_optimizer_config_validation(kwargs):
