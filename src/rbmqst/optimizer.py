@@ -31,6 +31,7 @@ from .rbm import (
     Partition,
     RbmParams,
     contract,
+    json_size,
     pack_parameters,
     unpack_parameters,
 )
@@ -78,6 +79,7 @@ class XiSchedule:
     xi_max: float = 100.0
 
     def __post_init__(self):
+        json_size(self.block, "block")
         if self.xi_init <= 0 or self.xi_init > self.xi_max:
             raise ValidationError("need 0 < xi_init <= xi_max")
         if self.growth < 1.0 or self.block < 1:
@@ -99,6 +101,8 @@ class OptimizerConfig:
     exact_sum: bool = False
 
     def __post_init__(self):
+        for name in ("epochs", "samples_per_epoch", "vne_cutoff", "seed"):
+            json_size(getattr(self, name), name)
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.samples_per_epoch < 1:

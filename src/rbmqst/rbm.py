@@ -36,6 +36,7 @@ total 2*(n_v + m + n_v*m) real coordinates.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,14 +279,13 @@ def save_checkpoint(params: RbmParams, partition: Partition, path) -> None:
         fh.write("\n")
 
 
-def json_size(value) -> int:
-    """A size read from a JSON file: an integer or an integral float, not a
-    bool (int() would truncate 2.7 to 2 and read true as 1)."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"size must be an integer, got {value!r}")
-    return value
+def json_size(value, name: str = "size") -> int:
+    """A size, count or seed read from a JSON file or a spec: an integer,
+    not a float (2.0 included) or a bool (int() would truncate 2.7 to 2 and
+    read true as 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_checkpoint(path) -> tuple[RbmParams, Partition]:

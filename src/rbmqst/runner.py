@@ -88,6 +88,9 @@ class ExperimentSpec:
     outdir: str = "run"
 
     def __post_init__(self):
+        for name in ("n_sys", "n_env_target", "n_env_model", "m", "observable_count",
+                     "observable_seed", "layers", "circuit_seed", "sweep"):
+            json_size(getattr(self, name), name)
         if self.n_sys < 1 or self.n_env_target < 0 or self.n_env_model < 0:
             raise ValidationError("qubit counts out of range")
         if self.m < 1:
@@ -114,7 +117,9 @@ class ExperimentSpec:
         try:
             for key, typ in (("sampler", SamplerConfig), ("optimizer", OptimizerConfig),
                              ("xi", XiSchedule)):
-                if key in doc and isinstance(doc[key], dict):
+                if key in doc:
+                    if not isinstance(doc[key], dict):
+                        raise ValidationError(f"{key} must be an object, got {doc[key]!r}")
                     doc[key] = typ(**doc[key])
             return cls(**doc)
         except TypeError as exc:

@@ -4,13 +4,14 @@ Proposals (both symmetric):
 - LocalFlip: flip one uniformly chosen spin.
 - Uniform: resample the whole configuration uniformly.
 
-All chains of a call run in one vectorized loop. They form groups of
-equal size, each drawing from its own seeded generator in a fixed order, so
-a group's samples do not depend on the other groups: sample_replicas runs
-its k replica streams as one call of k groups, with one burn-in, and each
-stream equals a lone mh_sample on that stream's seed. A call can continue
-chains from given start states (start=) instead of drawing them, as
-optimizer.train does from one epoch to the next. Every chain keeps
+All chains of a call run in one vectorized loop: mh_sample runs
+config.n_chains chains on config.seed, sample_replicas k groups of
+config.n_chains chains, one per derived seed, with one burn-in. Each group
+draws from its own seeded generator in a fixed order, so its samples do not
+depend on the other groups, and every returned SampleSet is one seed's
+stream with the diagnostics of a lone mh_sample on that seed. A call can
+continue chains from given start states (start=) instead of drawing them,
+as optimizer.train does from one epoch to the next. Every chain keeps
 theta = beta*(b + W^T v), the per-unit Re log 2cosh theta (rbm.re_log2cosh,
 the expression rbm.evaluate uses) and log|psi| of its state, so a LocalFlip
 step costs O(m) per chain (the look-up tables of
@@ -19,12 +20,12 @@ whole proposed configuration.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .rbm import RbmParams, re_log2cosh
+from .rbm import RbmParams, json_size, re_log2cosh
 
 PROPOSALS = ("LocalFlip", "Uniform")
 
@@ -66,6 +67,8 @@ class SamplerConfig:
     proposal: str = "LocalFlip"
 
     def __post_init__(self):
+        for name in ("n_samples", "burn_in", "thinning", "n_chains", "seed"):
+            json_size(getattr(self, name), name)
         if self.n_samples < 1 or self.thinning < 1 or self.n_chains < 1:
             raise ValidationError("counts must be >= 1")
         if self.burn_in < 0:
@@ -138,19 +141,20 @@ def _chain_state(params: RbmParams, spins: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Metropolis-Hastings loop over config.n_chains chains in
-    len(seeds) equal groups; group r draws from default_rng(seeds[r]) in the
-    order of a lone group (start, then per step the proposal draws and the
-    acceptance draw), so a group's chains do not depend on the others.
-    Given start rows, a group starts from its own rows and draws no start.
-    Every start state is valid: log|psi| is finite for every +-1 row
+    """The Metropolis-Hastings loop over config.n_chains chains per seed;
+    the group of seed r draws from default_rng(seeds[r]) in the order of a
+    lone group (start, then per step the proposal draws and the acceptance
+    draw), so a group's chains do not depend on the others. Given start
+    rows, a group starts from its own rows and draws no start. Every start
+    state is valid: log|psi| is finite for every +-1 row
     (rbm.re_log2cosh is finite for finite theta). Returns the kept spins
-    (n_chains, chain_len, n_v), their log|psi| and each chain's accepted
-    moves after burn-in."""
+    (len(seeds) * n_chains, chain_len, n_v), their log|psi| and each
+    chain's accepted moves after burn-in."""
     n_v, beta = params.n_v, params.beta
     rngs = [np.random.default_rng(s) for s in seeds]
-    group = config.n_chains // len(seeds)
-    chain_len = math.ceil(config.n_samples / config.n_chains)
+    group = config.n_chains
+    n_chains = group * len(seeds)
+    chain_len = math.ceil(config.n_samples / group)
     proposal = config.proposal
 
     def draw(rng, count):
@@ -161,7 +165,7 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
         # per group, as the Uniform proposals below
         spins, theta, ell, lp = (np.concatenate(part) for part in
                                  zip(*[(x, *_chain_state(params, x)) for x in starts]))
-        rows = np.arange(config.n_chains)
+        rows = np.arange(n_chains)
         if proposal == "LocalFlip":
             w2 = 2.0 * beta * params.w
             a2 = 2.0 * beta * params.a.real
@@ -196,9 +200,9 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
 
         for _ in range(config.burn_in):
             step()
-        kept = np.empty((config.n_chains, chain_len, n_v))
-        kept_lp = np.empty((config.n_chains, chain_len))
-        accepted = np.zeros(config.n_chains, dtype=np.int64)
+        kept = np.empty((n_chains, chain_len, n_v))
+        kept_lp = np.empty((n_chains, chain_len))
+        accepted = np.zeros(n_chains, dtype=np.int64)
         for k in range(chain_len):
             for _ in range(config.thinning):
                 accepted += step()
@@ -207,71 +211,49 @@ def _mh_chains(params: RbmParams, config: SamplerConfig, seeds: tuple,
     return kept, kept_lp, accepted
 
 
-def mh_sample(params: RbmParams, config: SamplerConfig, *,
-              seeds=None, start=None) -> SampleSet:
-    """Metropolis-Hastings chains targeting |psi|^2.
+def _sample(params: RbmParams, config: SamplerConfig, seeds: list, start) -> list[SampleSet]:
+    """One SampleSet per seed, with the diagnostics of a lone call, from one
+    _mh_chains run; start, if given, holds seed r's config.n_chains start
+    states in rows [r * n_chains, (r + 1) * n_chains)."""
+    n_v, group = params.n_v, config.n_chains
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        shape = (len(seeds) * group, n_v)
+        if start.shape != shape or not np.all(np.abs(start) == 1.0):
+            raise ValidationError(f"start must be a {shape} array of +-1 states")
+    kept, kept_lp, accepted = (np.split(x, len(seeds)) for x in
+                               _mh_chains(params, config, seeds, start))
+    chain_len = kept[0].shape[1]
+    moves = group * chain_len * config.thinning
+    return [SampleSet(spins=x.reshape(-1, n_v), n_chains=group, chain_len=chain_len,
+                      diagnostics={"proposal": config.proposal,
+                                   "acceptance_rate": int(acc.sum()) / moves,
+                                   "autocorr_time": integrated_autocorr_time(2.0 * lp),
+                                   "n_samples": group * chain_len, "seed": seed})
+            for seed, x, lp, acc in zip(seeds, kept, kept_lp, accepted)]
 
-    With seeds = None the config.n_chains chains draw from config.seed, and
-    the diagnostics record the proposal kind, acceptance rate, integrated
-    autocorrelation time of the kept log|psi|^2 series, sample count and
-    seed. With seeds = (s_0, .., s_{g-1}) the chains form g equal groups,
-    group r sampling exactly as a lone call on seed s_r with
-    n_chains / g chains would; the diagnostics then give the overall
-    acceptance rate and sample count plus, under "streams", each group's
-    own diagnostics.
+
+def mh_sample(params: RbmParams, config: SamplerConfig, *, start=None) -> SampleSet:
+    """config.n_chains Metropolis-Hastings chains targeting |psi|^2, drawing
+    from config.seed. The diagnostics record the proposal kind, acceptance
+    rate, integrated autocorrelation time of the kept log|psi|^2 series,
+    sample count and seed.
 
     start, if given, is an (n_chains, n_v) array of +-1 states, one row per
     chain: the chains continue from it (config.burn_in steps still run)
-    instead of drawing their start states, and group r from its own rows,
-    so a lone call on group r's rows equals group r of a joint call.
+    instead of drawing their start states.
     """
-    lone = seeds is None
-    seeds = (config.seed,) if lone else tuple(seeds)
-    if not seeds or config.n_chains % len(seeds):
-        raise ValidationError("n_chains must split into one equal group per seed")
-    n_v = params.n_v
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (config.n_chains, n_v) or not np.all(np.abs(start) == 1.0):
-            raise ValidationError(f"start must be a ({config.n_chains}, {n_v}) array of +-1 states")
-
-    kept, kept_lp, accepted = _mh_chains(params, config, seeds, start)
-    group = config.n_chains // len(seeds)
-    chain_len = kept.shape[1]
-    moves = group * chain_len * config.thinning
-    streams = [{
-        "proposal": config.proposal,
-        "acceptance_rate": int(accepted[r * group:(r + 1) * group].sum()) / moves,
-        "autocorr_time": integrated_autocorr_time(2.0 * kept_lp[r * group:(r + 1) * group]),
-        "n_samples": group * chain_len,
-        "seed": seed,
-    } for r, seed in enumerate(seeds)]
-    diagnostics = streams[0] if lone else {
-        "proposal": config.proposal,
-        "acceptance_rate": int(accepted.sum()) / (moves * len(seeds)),
-        "n_samples": config.n_chains * chain_len,
-        "streams": streams,
-    }
-    return SampleSet(spins=kept.reshape(-1, n_v), n_chains=config.n_chains,
-                     chain_len=chain_len, diagnostics=diagnostics)
+    return _sample(params, config, [config.seed], start)[0]
 
 
 def sample_replicas(params: RbmParams, config: SamplerConfig, k: int, *,
                     start=None) -> list[SampleSet]:
-    """k independent equally long sample streams from one joint
-    Metropolis-Hastings run of k * n_chains chains; replica r samples as
-    mh_sample on seed derive_seed(config.seed, r) would. start, if given,
-    holds the k * n_chains chains' start states, replica r's in rows
-    [r * n_chains, (r + 1) * n_chains) (the end states of k streams are
-    np.concatenate([s.chain_view()[:, -1] for s in streams]))."""
+    """k independent equally long sample streams of config.n_chains chains
+    each, run in one loop with one burn-in; replica r is exactly
+    mh_sample on seed derive_seed(config.seed, r), samples and diagnostics
+    alike. start, if given, holds the k * n_chains chains' start states,
+    replica r's in rows [r * n_chains, (r + 1) * n_chains) (the end states
+    of k streams are np.concatenate([s.chain_view()[:, -1] for s in streams]))."""
     if k < 2:
         raise ValidationError("replica count must be >= 2")
-    joint = mh_sample(params, replace(config, n_samples=k * config.n_samples,
-                                      n_chains=k * config.n_chains),
-                      seeds=[derive_seed(config.seed, r) for r in range(k)],
-                      start=start)
-    rows = joint.n_samples // k
-    return [SampleSet(spins=joint.spins[r * rows:(r + 1) * rows], n_chains=config.n_chains,
-                      chain_len=joint.chain_len, diagnostics=diag)
-            for r, diag in enumerate(joint.diagnostics["streams"])]
-
+    return _sample(params, config, [derive_seed(config.seed, r) for r in range(k)], start)

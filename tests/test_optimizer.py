@@ -79,6 +79,9 @@ def test_xi_schedule_validation():
         XiSchedule(growth=0.9)
     with pytest.raises(ValidationError):
         XiSchedule(block=0)
+    for block in (2.5, 2.0, True):
+        with pytest.raises(ValidationError, match="block must be an integer"):
+            XiSchedule(block=block)
 
 
 def test_constraint_validation():
@@ -100,6 +103,11 @@ def test_constraint_validation():
     {"learning_rate": 0.0},
     {"grad_clip": 0.0},
     {"entropy_mode": "renyi3"},
+    # counts and the seed are integers: no fraction, no integral float, no bool
+    {"epochs": 2.5},
+    {"samples_per_epoch": 2.0},
+    {"vne_cutoff": True},
+    {"seed": 1.5},
 ])
 def test_optimizer_config_validation(kwargs):
     with pytest.raises(ValidationError):
@@ -199,6 +207,21 @@ def test_sampled_grad_unbiased_toward_exact():
     cfg = SamplerConfig(n_samples=60000, burn_in=500, n_chains=8, seed=31)
     _, sampled = renyi_value_and_grad(params, part, 2, sample_replicas(params, cfg, 2))
     assert np.abs(sampled - exact).max() < 0.02
+
+
+def test_sampled_observable_grad_unbiased_toward_exact():
+    # the same for the gradient of an off-diagonal <O>, whose pairs include
+    # the connected configurations' evaluation: stream 0 against the enumeration
+    params, part = make(2, 1, m=2, seed=29, std=0.15)
+    cfg = SamplerConfig(n_samples=60000, burn_in=500, n_chains=8, seed=31)
+    sampled = replicas(params, part, sample_replicas(params, cfg, 2)).streams[0]
+    exact = replicas(params, part).streams[0]
+    for letters in ("XY", "ZX", "YI"):
+        obs = PauliString(letters)
+        grad_sampled, grad_exact = (
+            _contract_pairs(params, observable_terms(params, part, obs, batch)[2])
+            for batch in (sampled, exact))
+        assert np.abs(grad_sampled - grad_exact).max() < 0.02, letters
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_spec_validation():
         ExperimentSpec(n_sys=10, n_env_target=10)  # above dense cap
     with pytest.raises(ValidationError):
         ExperimentSpec.from_dict({"no_such_field": 1})
+    # counts and seeds are integers: no fraction, no integral float, no bool
+    for name, value in (("n_sys", 2.5), ("m", 2.0), ("sweep", True), ("circuit_seed", 1.5)):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            ExperimentSpec(**{name: value})
+    # a config section is an object
+    for key in ("sampler", "optimizer", "xi"):
+        for value in (3, None, [], "x"):
+            with pytest.raises(ValidationError, match=f"{key} must be an object"):
+                ExperimentSpec.from_dict({key: value})
 
 
 def test_cli_refuses_unknown_proposal_before_training(tmp_path, monkeypatch, capsys):
@@ -446,25 +455,42 @@ def test_cli_exit_code_io(tmp_path, capsys):
     ("eval", "target.json", "system_qubits", 2.7),
     ("eval", "checkpoint.json", "n_sys", 2.9),
     ("eval", "checkpoint.json", "n_env", True),
+    # spec fields given with --set: counts are integers, sections are objects
+    ("gen-target", "--set", "n_sys", "2.5"),
+    ("train", "--set", "optimizer.epochs", "2.5"),
+    ("train", "--set", "m", "2.0"),
+    ("train", "--set", "sweep", "true"),
+    ("train", "--set", "xi.block", "2.5"),
+    ("train", "--set", "sampler.n_chains", "2.5"),
+    ("train", "--set", "optimizer", "3"),
+    ("train", "--set", "sampler", "null"),
 ])
 def test_cli_malformed_values_exit_validation(tmp_path, capsys, command, name, key, value):
     cfg = write_cfg(tmp_path)
     assert main(["gen-target", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     save_checkpoint(init_params(3, 1, np.random.default_rng(0)), Partition(2, 1),
                     tmp_path / "checkpoint.json")
-    path = tmp_path / name
-    doc = json.loads(path.read_text())
-    (doc["observables"][0] if key == "target" else doc)[key] = value
-    path.write_text(json.dumps(doc))
     capsys.readouterr()
-    if command == "train":
-        argv = ["train", "--config", str(cfg), "--target", str(tmp_path / "target.json"),
+    if name == "--set":
+        argv = [command, "--config", str(cfg), "--set", f"{key}={value}",
                 "--out", str(tmp_path / "run")]
     else:
-        argv = ["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
-                "--target", str(tmp_path / "target.json")]
+        path = tmp_path / name
+        doc = json.loads(path.read_text())
+        (doc["observables"][0] if key == "target" else doc)[key] = value
+        path.write_text(json.dumps(doc))
+        if command == "train":
+            argv = ["train", "--config", str(cfg), "--target", str(tmp_path / "target.json"),
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                    "--target", str(tmp_path / "target.json")]
     assert main(argv) == 2
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    if name == "--set":  # refused while reading the spec, naming the field
+        assert f"{key.split('.')[-1]} must be" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_output_root_env(tmp_path, monkeypatch, capsys):

@@ -48,6 +48,12 @@ def test_sampler_config_validation():
         SamplerConfig(n_samples=0)
     with pytest.raises(ValidationError):
         SamplerConfig(burn_in=-1)
+    # counts and the seed are integers: no fraction, no integral float, no bool
+    for name in ("n_samples", "burn_in", "thinning", "n_chains", "seed"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+                SamplerConfig(**{name: value})
+    assert SamplerConfig(n_chains=np.int64(4)).n_chains == 4
 
 
 # ---------------------------------------------------------------------------
